@@ -7,6 +7,7 @@ reference behaviour.
 """
 
 import multiprocessing
+import os
 
 
 def mask_blocks(n: int, threads: int) -> list[tuple[int, int, int]]:
@@ -17,8 +18,10 @@ def mask_blocks(n: int, threads: int) -> list[tuple[int, int, int]]:
 
 
 def run_blocks(fn, blocks, threads: int) -> list:
-    if threads <= 1 or len(blocks) <= 1:
+    # never more workers than cores or blocks, whatever --threads asks for
+    workers = min(threads, os.cpu_count() or 1, len(blocks))
+    if workers <= 1:
         return [fn(b) for b in blocks]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=threads) as pool:
+    with ctx.Pool(processes=workers) as pool:
         return pool.map(fn, blocks)

@@ -72,15 +72,25 @@ def _graph_of(obj) -> Graph:
     return obj.graph if isinstance(obj, LabeledConstruction) else obj
 
 
+def _read_graph_file(name: str, fmt: str = "auto") -> Graph:
+    """Parse a graph file; a file that cannot be read is malformed input."""
+    try:
+        text = Path(name).read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise FormatError(f"input file {name!r} does not exist") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read input file {name!r}: {exc}") from exc
+    return parse_graph_text(text, fmt)
+
+
 def _parse_spec(spec: str) -> Graph:
     """Inline graph spec: 'path:3', 'F:2', 'grid:3,4', or a file path."""
     if ":" in spec:
         name, _, rest = spec.partition(":")
         params = rest.split(",") if rest else []
         return _graph_of(_build_from_tokens([name, *params]))
-    path = Path(spec)
-    if path.exists():
-        return parse_graph_text(path.read_text(), "auto")
+    if Path(spec).exists():
+        return _read_graph_file(spec)
     raise BadParamsError(f"graph spec {spec!r} is neither 'family:params' nor an existing file")
 
 
@@ -88,10 +98,7 @@ def _load_input(args) -> Graph:
     if getattr(args, "construct", None):
         return _graph_of(_build_from_tokens(args.construct))
     if getattr(args, "input", None):
-        path = Path(args.input)
-        if not path.exists():
-            raise FormatError(f"input file {args.input!r} does not exist")
-        return parse_graph_text(path.read_text(), args.format)
+        return _read_graph_file(args.input, args.format)
     raise BadParamsError("provide an input file or --construct")
 
 
@@ -201,7 +208,7 @@ def cmd_verify(args) -> int:
         reports = [check(k) for k in range(1, args.kmax + 1)]
         return _verify_single(reports, args.report)
     if args.graph or args.g:
-        g = _parse_spec(args.g) if args.g else parse_graph_text(Path(args.graph).read_text(), "auto")
+        g = _parse_spec(args.g) if args.g else _read_graph_file(args.graph)
         if theorem == "product":
             if args.m is None:
                 raise BadParamsError("product needs --m M")

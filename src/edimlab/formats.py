@@ -11,7 +11,7 @@ rejects malformed input, naming the offending character position.
 """
 
 from .errors import FormatError
-from .graph import Graph, _graph_from_edges, build_graph
+from .graph import MAX_VERTICES, Graph, _graph_from_edges, build_graph
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -110,6 +110,8 @@ def parse_graph6(text: str) -> Graph:
         body = data[1:]
     if n < 1:
         raise FormatError(f"graph6: vertex count {n} out of range")
+    if n > MAX_VERTICES:
+        raise FormatError(f"graph6: vertex count {n} exceeds the cap of {MAX_VERTICES}")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(body) != need:

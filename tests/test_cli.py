@@ -64,6 +64,27 @@ def test_exit_code_2_on_parse_error(tmp_path):
     assert "error:" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # verify --graph: a missing file
+        ("verify", "ncondition", "--graph", "{tmp}/nonexistent.el"),
+        # compute INPUT: a directory
+        ("compute", "dim", "{tmp}"),
+        # compute INPUT: a file that is not UTF-8
+        ("compute", "dim", "{tmp}/latin1.el"),
+        # a graph spec naming a directory, and one naming a non-UTF-8 file
+        ("construct", "prod", "--g", "{tmp}", "--m", "2"),
+        ("verify", "ncondition", "--g", "{tmp}/latin1.el"),
+    ],
+)
+def test_exit_code_2_on_unreadable_input(tmp_path, argv):
+    (tmp_path / "latin1.el").write_bytes(b"# caf\xe9\n2 1\n0 1\n")
+    proc = run_cli(*(a.format(tmp=tmp_path) for a in argv))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 def test_exit_code_2_on_bad_params():
     proc = run_cli("compute", "dim", "--construct", "F", "99")
     assert proc.returncode == 2

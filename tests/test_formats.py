@@ -63,6 +63,15 @@ def test_graph6_large_size_field():
     assert parse_graph6(write_graph6(g)) == g
 
 
+def test_graph6_vertex_cap_is_checked_before_the_body():
+    # 4-byte size fields alone: n = 4097 is refused by the cap, while
+    # n = 4096 passes it and fails only on the missing body
+    with pytest.raises(FormatError, match="vertex count 4097 exceeds the cap of 4096"):
+        parse_graph6("~@?@")
+    with pytest.raises(FormatError, match="expected 1397760 data characters for n=4096"):
+        parse_graph6("~@??")
+
+
 def test_graph6_errors_name_the_character():
     with pytest.raises(FormatError, match="position 2"):
         parse_graph6("Bg extra")

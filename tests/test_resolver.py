@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
+from edimlab import resolver
 from edimlab import (
     DisconnectedError,
     NoEdgesError,
@@ -10,6 +13,7 @@ from edimlab import (
     construct_F,
     edge_metric_dimension,
     edge_signature,
+    is_connected,
     is_edge_generator,
     is_vertex_generator,
     metric_dimension,
@@ -18,7 +22,7 @@ from edimlab import (
 )
 from edimlab.reference import edge_metric_dimension_naive, metric_dimension_naive
 
-from conftest import complete, connected_graphs, cycle, path, star
+from conftest import bfs_oracle, complete, connected_graphs, cycle, path, star
 
 
 def test_vertex_signature_examples():
@@ -145,3 +149,90 @@ def test_matches_naive_on_random_graphs(g):
     fast = edge_metric_dimension(g)
     slow = edge_metric_dimension_naive(g)
     assert (fast.value, fast.witness) == (slow.value, slow.witness)
+
+
+def _gnp_connected(rng, n, p):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    while True:
+        edges = [e for e in pairs if rng.random() < p]
+        if is_connected(build_graph(n, edges)):
+            return build_graph(n, edges)
+
+
+@pytest.fixture
+def bnb_calls(monkeypatch):
+    """Records (greedy upper bound, optimum) of every branch-and-bound run."""
+    calls = []
+    real = resolver._branch_and_bound_size
+
+    def spy(bits, universe, rows, n_obj, upper):
+        calls.append((upper, real(bits, universe, rows, n_obj, upper)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(resolver, "_branch_and_bound_size", spy)
+    return calls
+
+
+def test_branch_and_bound_matches_naive(monkeypatch, bnb_calls):
+    # every solve takes the branch-and-bound path, whatever its size
+    monkeypatch.setattr(resolver, "BRANCH_AND_BOUND_MIN_SUBSETS", 0)
+    rng = random.Random(20161106)
+    for _ in range(24):
+        g = _gnp_connected(rng, rng.randint(7, 9), rng.choice((0.5, 0.65, 0.8)))
+        for fast, slow in (
+            (metric_dimension, metric_dimension_naive),
+            (edge_metric_dimension, edge_metric_dimension_naive),
+        ):
+            a, b = fast(g, want_all_bases=True), slow(g, want_all_bases=True)
+            assert (a.value, a.witness, a.all_bases) == (b.value, b.witness, b.all_bases), g.edges
+    assert len(bnb_calls) == 48
+    # on some graphs the search beat the greedy bound, not just confirmed it
+    assert any(best < upper for upper, best in bnb_calls)
+
+
+def test_search_path_is_chosen_from_the_input(bnb_calls):
+    # n <= 6: C(6, greedy - 1) is tiny, so sizes are refuted by lex scans
+    edge_metric_dimension(complete(6))
+    metric_dimension(complete(6))
+    assert bnb_calls == []
+    # dense n = 22: edim about 12 of 22 landmarks, far past the crossover
+    g = _gnp_connected(random.Random(3), 22, 0.5)
+    res = edge_metric_dimension(g)
+    assert len(bnb_calls) == 1
+    assert is_edge_generator(g, res.witness) and len(res.witness) == res.value
+
+
+def _milp_value(n, separators):
+    """Smallest landmark set hitting every separator set, by integer programming."""
+    np = pytest.importorskip("numpy")
+    opt = pytest.importorskip("scipy.optimize")
+    rows = np.array([[1.0 if v in sep else 0.0 for v in range(n)] for sep in separators])
+    res = opt.milp(
+        c=np.ones(n),
+        constraints=opt.LinearConstraint(rows, lb=1, ub=np.inf),
+        integrality=np.ones(n),
+        bounds=opt.Bounds(0, 1),
+    )
+    assert res.success
+    return round(res.fun)
+
+
+@pytest.mark.parametrize("n, p, seed", [(12, 0.5, 1), (14, 0.3, 2), (16, 0.5, 3), (18, 0.5, 4)])
+def test_values_match_integer_programming(monkeypatch, n, p, seed):
+    g = _gnp_connected(random.Random(seed), n, p)
+    dist = bfs_oracle(g)
+    objects = {
+        "dim": [(x,) for x in range(n)],
+        "edim": list(g.edges),
+    }
+    solvers = {"dim": metric_dimension, "edim": edge_metric_dimension}
+    for kind, objs in objects.items():
+        seps = [
+            {v for v in range(n) if min(dist[v][x] for x in a) != min(dist[v][x] for x in b)}
+            for i, a in enumerate(objs) for b in objs[i + 1:]
+        ]
+        want = _milp_value(n, seps)
+        assert solvers[kind](g).value == want
+        with monkeypatch.context() as m:
+            m.setattr(resolver, "BRANCH_AND_BOUND_MIN_SUBSETS", 0)
+            assert solvers[kind](g).value == want
