@@ -24,7 +24,15 @@ from .errors import (
     SelfLoopError,
     VertexOutOfRangeError,
 )
-from .experiments import SurveyRow, enumerate_connected_graphs, ratio_extremes, survey_triples
+from .experiments import (
+    SurveyRow,
+    canonical_mask,
+    connected_classes,
+    enumerate_connected_graphs,
+    labeled_masks,
+    ratio_extremes,
+    survey_triples,
+)
 from .formats import (
     parse_edge_list,
     parse_graph6,

@@ -1,20 +1,22 @@
-"""Deterministic helpers for splitting mask-range sweeps across processes.
+"""Deterministic helpers for splitting sweeps across processes.
 
-Workers receive contiguous (n, lo, hi) mask blocks and return plain
-aggregates; pool.map preserves block order, so merged results never depend
-on scheduling.  threads <= 1 runs everything in-process and is the
+Workers receive contiguous blocks of an ordered sequence (the ascending
+list of isomorphism classes, or a range of labeled masks) and return
+plain aggregates; pool.map preserves block order, so merged results never
+depend on scheduling.  threads <= 1 runs everything in-process and is the
 reference behaviour.
 """
 
 import multiprocessing
 import os
+from collections.abc import Sequence
 
 
-def mask_blocks(n: int, threads: int) -> list[tuple[int, int, int]]:
-    total = 1 << (n * (n - 1) // 2)
-    pieces = 1 if threads <= 1 else min(total, threads * 8)
-    step = (total + pieces - 1) // pieces
-    return [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
+def item_blocks(items: Sequence, threads: int) -> list[Sequence]:
+    """Split items into contiguous blocks, in order: one block for threads <= 1."""
+    pieces = 1 if threads <= 1 else max(1, min(len(items), threads * 8))
+    step = max(1, (len(items) + pieces - 1) // pieces)
+    return [items[lo:lo + step] for lo in range(0, len(items), step)]
 
 
 def run_blocks(fn, blocks, threads: int) -> list:

@@ -84,13 +84,16 @@ def _read_graph_file(name: str, fmt: str = "auto") -> Graph:
 
 
 def _parse_spec(spec: str) -> Graph:
-    """Inline graph spec: 'path:3', 'F:2', 'grid:3,4', or a file path."""
+    """Graph spec: a file path, or else an inline 'path:3', 'F:2', 'grid:3,4'.
+
+    A spec naming an existing file is that file, even when it contains ':'.
+    """
+    if Path(spec).exists():
+        return _read_graph_file(spec)
     if ":" in spec:
         name, _, rest = spec.partition(":")
         params = rest.split(",") if rest else []
         return _graph_of(_build_from_tokens([name, *params]))
-    if Path(spec).exists():
-        return _read_graph_file(spec)
     raise BadParamsError(f"graph spec {spec!r} is neither 'family:params' nor an existing file")
 
 

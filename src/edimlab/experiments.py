@@ -1,23 +1,37 @@
-"""Exhaustive enumeration of small labeled connected graphs plus surveys.
+"""Exhaustive enumeration of small connected graphs, plus surveys.
 
 Graphs on n vertices are encoded as adjacency bitmasks: pair (i, j) with
-i < j gets bit p in the lexicographic pair ordering, and masks are visited
-ascending, so every stream and every example graph is reproducible.
-Surveys aggregate per-(dim, edim) counts with the lowest-mask example kept
-as a graph6 string; aggregation is order-independent, so multi-process
-runs merge to identical output.
+i < j gets bit p in the lexicographic pair ordering.
+`enumerate_connected_graphs` streams every labeled graph in ascending
+mask order.  `connected_classes` lists one graph per isomorphism class:
+its canonical mask, the lowest mask over all its relabellings, with the
+weight n!/|Aut|, the number of labeled graphs in the class.
+
+Surveys and ratio sweeps solve each class once and add up the weights, so
+their counts are those of the labeled census.  A survey row keeps the
+lowest mask with its (dim, edim) as a graph6 example; that mask is a
+canonical one.  The graphs attaining the extreme ratio are every
+relabelling of the attaining classes, listed in ascending mask order.
+Aggregation is order-independent, so multi-process runs merge to
+identical output.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
-from ._par import mask_blocks, run_blocks
+from ._par import item_blocks, run_blocks
 from .errors import BadParamsError, NTooLargeError
 from .formats import write_graph6
-from .graph import Graph, _graph_from_edges, all_pairs_distances
+from .graph import Graph, _graph_from_edges
 from .resolver import edge_metric_dimension, metric_dimension
 
 MAX_ENUM_N = 8
+
+# canonical_mask's state bytes: a placed vertex, and the table shifting each row up one bit
+_PLACED = 255
+_SHIFT_ROWS = bytes(range(0, 256, 2)) + bytes([_PLACED]) * 128
 
 
 @dataclass(frozen=True)
@@ -65,54 +79,144 @@ def _connected_graph_from_mask(n: int, mask: int) -> Graph | None:
     return _graph_from_edges(n, tuple(edges))
 
 
-def enumerate_connected_graphs(n: int, distinct_only: bool = False):
-    """Yield every labeled connected graph on n vertices in ascending mask order.
-
-    distinct_only keeps only the first graph per (degree sequence, distance
-    multiset) signature; this thins obvious relabelings, it is not an
-    isomorphism quotient.
-    """
+def enumerate_connected_graphs(n: int):
+    """Yield every labeled connected graph on n vertices in ascending mask order."""
     _check_enum_n(n)
-    seen_sigs = set()
     for mask in range(1 << (n * (n - 1) // 2)):
         g = _connected_graph_from_mask(n, mask)
-        if g is None:
-            continue
-        if distinct_only:
-            dm = all_pairs_distances(g)
-            sig = (
-                tuple(sorted(len(row) for row in g.adjacency)),
-                tuple(sorted(dm.d[i][j] for i in range(n) for j in range(i + 1, n))),
-            )
-            if sig in seen_sigs:
-                continue
-            seen_sigs.add(sig)
-        yield g
+        if g is not None:
+            yield g
+
+
+def _pair_bits(n: int) -> list[list[int]]:
+    """bits[i][j] = bits[j][i] = the mask bit of pair {i, j}."""
+    bits = [[0] * n for _ in range(n)]
+    p = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            bits[i][j] = bits[j][i] = 1 << p
+            p += 1
+    return bits
+
+
+def _adj_bits_of_mask(n: int, mask: int) -> list[int]:
+    bits = _pair_bits(n)
+    return [sum(1 << j for j in range(n) if mask & bits[i][j]) for i in range(n)]
+
+
+def canonical_mask(n: int, adj_bits) -> tuple[int, int]:
+    """Lowest mask over all n! relabellings of a graph, and how many reach it.
+
+    The count is |Aut|; n is at most MAX_ENUM_N.  Labels are placed n-1,
+    n-2, ..., 0.  The row of label i is its adjacency to the labels placed
+    before it, read with label n-1 as the most significant bit, and it
+    fills the mask bits of the pairs (i, j > i), which lie above those of
+    every lower label.  So after each placement only the partial
+    labellings whose new row is the least one can still reach the lowest
+    mask.  Partial labellings that leave the same rows to their unplaced
+    vertices have the same futures and are kept once, with their
+    multiplicity.
+    """
+    _check_enum_n(n)
+    # A state holds one byte per vertex: its row so far, or _PLACED.  Rows
+    # have at most n - 1 <= 7 bits, so shifting one never reaches _PLACED,
+    # and OR-ing states as big-endian integers ORs them byte by byte.
+    place = [
+        int.from_bytes(bytes(_PLACED if v == u else a >> v & 1 for v in range(n)), "big")
+        for u, a in enumerate(adj_bits)
+    ]
+    states = {bytes(n): 1}  # -> number of partial labellings leaving it
+    mask = 0
+    for label in range(n - 1, -1, -1):
+        best = min(min(state) for state in states)
+        nxt: dict[bytes, int] = {}
+        for state, count in states.items():
+            shifted = int.from_bytes(state.translate(_SHIFT_ROWS), "big")
+            u = state.find(best)
+            while u >= 0:
+                child = (shifted | place[u]).to_bytes(n, "big")
+                nxt[child] = nxt.get(child, 0) + count
+                u = state.find(best, u + 1)
+        states = nxt
+        mask |= best << (label * (2 * n - label - 1) // 2)
+    return mask, states[bytes([_PLACED]) * n]
+
+
+def _class_levels(n_max: int):
+    """Yield (n, classes) for n = 1..n_max, as `connected_classes` gives them.
+
+    Every connected graph on n >= 2 vertices has a vertex whose removal
+    leaves it connected, so it arises from a class on n-1 vertices by
+    adding a vertex with a non-empty neighbourhood; the children are
+    deduplicated by canonical mask.
+    """
+    level = [(0, 1)]
+    yield 1, level
+    for n in range(2, n_max + 1):
+        auts: dict[int, int] = {}
+        new = 1 << (n - 1)
+        for parent, _ in level:
+            adj = _adj_bits_of_mask(n - 1, parent) + [0]
+            for nbrs in range(1, new):
+                child = [a | new if nbrs >> v & 1 else a for v, a in enumerate(adj)]
+                child[-1] = nbrs
+                mask, aut = canonical_mask(n, child)
+                auts[mask] = aut
+        total = factorial(n)
+        level = [(mask, total // auts[mask]) for mask in sorted(auts)]
+        yield n, level
+
+
+def connected_classes(n: int) -> list[tuple[int, int]]:
+    """One connected graph per isomorphism class on n vertices.
+
+    Returns (canonical mask, n!/|Aut|) pairs in ascending mask order; the
+    weights add up to the number of labeled connected graphs.
+    """
+    _check_enum_n(n)
+    for _, level in _class_levels(n):
+        pass
+    return level
+
+
+def labeled_masks(n: int, mask: int) -> list[int]:
+    """Masks of every relabelling of the graph with this mask, ascending."""
+    bits = _pair_bits(n)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask & bits[i][j]]
+    found = set()
+    for perm in permutations(range(n)):
+        out = 0
+        for i, j in edges:
+            out |= bits[perm[i]][perm[j]]
+        found.add(out)
+    return sorted(found)
 
 
 def _survey_block(job) -> dict[tuple[int, int], tuple[int, int]]:
-    n, lo, hi = job
+    n, classes = job
     acc: dict[tuple[int, int], tuple[int, int]] = {}
-    for mask in range(lo, hi):
+    for mask, weight in classes:
         g = _connected_graph_from_mask(n, mask)
-        if g is None:
-            continue
         key = (metric_dimension(g).value, edge_metric_dimension(g).value)
         got = acc.get(key)
         if got is None:
-            acc[key] = (1, mask)
+            acc[key] = (weight, mask)
         else:
-            acc[key] = (got[0] + 1, got[1])
+            acc[key] = (got[0] + weight, got[1])
     return acc
 
 
 def survey_triples(n: int, threads: int = 1) -> list[SurveyRow]:
-    """(dim, edim) census over all labeled connected graphs on n vertices."""
+    """(dim, edim) census over all labeled connected graphs on n vertices.
+
+    Each isomorphism class is solved once and counted with its weight.
+    """
     _check_enum_n(n)
     if n > 7:
         raise NTooLargeError(f"survey capped at n=7, got {n}")
+    jobs = [(n, block) for block in item_blocks(connected_classes(n), threads)]
     merged: dict[tuple[int, int], tuple[int, int]] = {}
-    for block in run_blocks(_survey_block, mask_blocks(n, threads), threads):
+    for block in run_blocks(_survey_block, jobs, threads):
         for key, (count, mask) in block.items():
             got = merged.get(key)
             if got is None:
@@ -127,13 +231,11 @@ def survey_triples(n: int, threads: int = 1) -> list[SurveyRow]:
 
 
 def _ratio_block(job) -> tuple[Fraction, list[int]] | None:
-    n, lo, hi = job
+    n, classes = job
     best: Fraction | None = None
     masks: list[int] = []
-    for mask in range(lo, hi):
+    for mask, _ in classes:
         g = _connected_graph_from_mask(n, mask)
-        if g is None:
-            continue
         dim = metric_dimension(g).value
         if dim == 0:
             continue
@@ -151,22 +253,24 @@ def ratio_extremes(n: int, threads: int = 1) -> tuple[Fraction, list[str]]:
     """Maximum edim/dim over the n-vertex census, with every witness graph.
 
     Graphs with dim = 0 (the single-vertex graph) are excluded.  Returns the
-    exact ratio and the graph6 encodings of all maximizing graphs.
+    exact ratio and the graph6 encodings of all maximizing labeled graphs,
+    in ascending mask order: every relabelling of every maximizing class.
     """
     _check_enum_n(n)
     if n > 7:
         raise NTooLargeError(f"ratio sweep capped at n=7, got {n}")
+    jobs = [(n, block) for block in item_blocks(connected_classes(n), threads)]
     best: Fraction | None = None
-    masks: list[int] = []
-    for block in run_blocks(_ratio_block, mask_blocks(n, threads), threads):
+    classes: list[int] = []
+    for block in run_blocks(_ratio_block, jobs, threads):
         if block is None:
             continue
-        ratio, block_masks = block
+        ratio, block_classes = block
         if best is None or ratio > best:
-            best, masks = ratio, list(block_masks)
+            best, classes = ratio, list(block_classes)
         elif ratio == best:
-            masks.extend(block_masks)
+            classes.extend(block_classes)
     if best is None:
         raise BadParamsError(f"no graph with dim > 0 exists at n={n}")
-    masks.sort()
+    masks = sorted(m for c in classes for m in labeled_masks(n, c))
     return best, [write_graph6(_connected_graph_from_mask(n, mask)) for mask in masks]

@@ -10,10 +10,23 @@ zero padding.  The reader accepts an optional ">>graph6<<" header and
 rejects malformed input, naming the offending character position.
 """
 
+import re
+
 from .errors import FormatError
 from .graph import MAX_VERTICES, Graph, _graph_from_edges, build_graph
 
 GRAPH6_HEADER = ">>graph6<<"
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _int_pair(parts: list[str]) -> tuple[int, int] | None:
+    """Two decimal integers, or None; digits int() refuses (too many) count as malformed."""
+    if len(parts) != 2 or not all(_INTEGER.fullmatch(p) for p in parts):
+        return None
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        return None
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -26,10 +39,10 @@ def parse_edge_list(text: str) -> Graph:
     if not lines:
         raise FormatError("empty input: expected a header line 'n m'")
     lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+    pair = _int_pair(header.split())
+    if pair is None:
         raise FormatError(f"line {lineno}: expected header 'n m', got {header!r}")
-    n, m = int(parts[0]), int(parts[1])
+    n, m = pair
     if m < 0:
         raise FormatError(f"line {lineno}: edge count {m} is negative")
     body = lines[1:]
@@ -37,10 +50,10 @@ def parse_edge_list(text: str) -> Graph:
         raise FormatError(f"header declares {m} edges but {len(body)} edge lines follow")
     edges = []
     for lineno, entry in body:
-        parts = entry.split()
-        if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+        pair = _int_pair(entry.split())
+        if pair is None:
             raise FormatError(f"line {lineno}: expected edge 'u v', got {entry!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append(pair)
     return build_graph(n, edges)
 
 

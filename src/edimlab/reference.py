@@ -51,9 +51,9 @@ def edge_metric_dimension_naive(g: Graph, want_all_bases: bool = False) -> Dimen
 def _equivalence_block(job) -> list[str]:
     from .experiments import _connected_graph_from_mask
 
-    n, lo, hi = job
+    n, masks = job
     bad = []
-    for mask in range(lo, hi):
+    for mask in masks:
         g = _connected_graph_from_mask(n, mask)
         if g is None:
             continue
@@ -77,9 +77,11 @@ def equivalence_sweep(n: int, threads: int = 1) -> list[str]:
     Returns mismatch descriptions; an empty list means full agreement on
     both the value and the lexicographically-first witness.
     """
-    from ._par import mask_blocks, run_blocks
+    from ._par import item_blocks, run_blocks
 
-    results = run_blocks(_equivalence_block, mask_blocks(n, threads), threads)
+    masks = range(1 << (n * (n - 1) // 2))
+    jobs = [(n, block) for block in item_blocks(masks, threads)]
+    results = run_blocks(_equivalence_block, jobs, threads)
     merged = []
     for chunk in results:
         merged.extend(chunk)

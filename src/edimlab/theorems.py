@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from math import comb
 
-from ._par import mask_blocks, run_blocks
+from ._par import item_blocks, run_blocks
 from .constructions import cartesian_path, construct_F, construct_H, join, product_upper_witness
 from .errors import (
     DisconnectedError,
@@ -292,48 +292,59 @@ class SweepSummary:
         return self.fails == 0
 
 
-def _sweep_block(job) -> tuple[int, int, int, int, list[TheoremReport]]:
-    from .experiments import _connected_graph_from_mask
+def _check_graph(theorem_id: str, g: Graph, m: int) -> TheoremReport:
+    if theorem_id == "ncondition":
+        return check_ncondition_theorem(g)
+    if theorem_id == "corollary":
+        return check_corollary_diam_triangle(g)
+    if theorem_id == "vertex_bound":
+        return check_vertex_count_bound(g)
+    if theorem_id == "edge_bound":
+        return check_edge_count_bound(g)
+    if theorem_id == "degree_lemmas":
+        return check_max_degree_lemmas(g)
+    if theorem_id == "join":
+        return check_join_K1_theorem(g)
+    if theorem_id == "product":
+        if g.m == 0:
+            return _na("product", write_graph6(g), "needs at least one edge", m=0)
+        return check_product_theorem(g, m)
+    raise KeyError(f"unknown sweepable theorem {theorem_id!r}")
 
-    (n, lo, hi), theorem_id, m = job
-    graphs = holds = fails = na = 0
+
+def _sweep_block(job) -> tuple[int, int, int, int, list[TheoremReport]]:
+    """Check one block of classes; a failing class is rechecked on every relabelling."""
+    from .experiments import _connected_graph_from_mask, labeled_masks
+
+    n, classes, theorem_id, m = job
+    counts = {HOLDS: 0, FAILS: 0, NOT_APPLICABLE: 0}
     failures: list[TheoremReport] = []
-    for mask in range(lo, hi):
-        g = _connected_graph_from_mask(n, mask)
-        if g is None:
+    for mask, weight in classes:
+        report = _check_graph(theorem_id, _connected_graph_from_mask(n, mask), m)
+        if report.verdict != FAILS:
+            counts[report.verdict] += weight
             continue
-        graphs += 1
-        if theorem_id == "ncondition":
-            report = check_ncondition_theorem(g)
-        elif theorem_id == "corollary":
-            report = check_corollary_diam_triangle(g)
-        elif theorem_id == "vertex_bound":
-            report = check_vertex_count_bound(g)
-        elif theorem_id == "edge_bound":
-            report = check_edge_count_bound(g)
-        elif theorem_id == "degree_lemmas":
-            report = check_max_degree_lemmas(g)
-        elif theorem_id == "join":
-            report = check_join_K1_theorem(g)
-        elif theorem_id == "product":
-            if g.m == 0:
-                report = _na("product", write_graph6(g), "needs at least one edge", m=0)
-            else:
-                report = check_product_theorem(g, m)
-        else:
-            raise KeyError(f"unknown sweepable theorem {theorem_id!r}")
-        if report.verdict == HOLDS:
-            holds += 1
-        elif report.verdict == FAILS:
-            fails += 1
-            failures.append(report)
-        else:
-            na += 1
-    return graphs, holds, fails, na, failures
+        for labeled in labeled_masks(n, mask):
+            report = _check_graph(theorem_id, _connected_graph_from_mask(n, labeled), m)
+            counts[report.verdict] += 1
+            if report.verdict == FAILS:
+                failures.append(report)
+    graphs = sum(counts.values())
+    return graphs, counts[HOLDS], counts[FAILS], counts[NOT_APPLICABLE], failures
 
 
 def sweep_theorem(theorem_id: str, n_max: int, threads: int = 1, m: int = 2) -> SweepSummary:
-    """Run one checker over every labeled connected graph with n up to n_max."""
+    """Run one checker over every labeled connected graph with n up to n_max.
+
+    Every statement is invariant under relabelling, so the checker runs on
+    one graph per isomorphism class and the class counts with its weight,
+    the number of labeled graphs in it.  A class that fails is expanded:
+    the checker runs again on each of its labeled graphs, and each is
+    counted and reported on its own, so the counts, failures and
+    certificates are those of a sweep over every labeled graph.
+    """
+    from .experiments import _class_levels
+
     if theorem_id not in SWEEP_MIN_N:
         raise KeyError(f"unknown sweepable theorem {theorem_id!r}")
     if n_max > 7:
@@ -343,8 +354,10 @@ def sweep_theorem(theorem_id: str, n_max: int, threads: int = 1, m: int = 2) -> 
     per_n = []
     failures: list[TheoremReport] = []
     n_values = [n for n in range(n_lo, n_max + 1)]
-    for n in n_values:
-        jobs = [(block, theorem_id, m) for block in mask_blocks(n, threads)]
+    for n, classes in _class_levels(n_max):
+        if n < n_lo:
+            continue
+        jobs = [(n, block, theorem_id, m) for block in item_blocks(classes, threads)]
         results = run_blocks(_sweep_block, jobs, threads)
         counts = [0, 0, 0, 0]
         for graphs, holds, fails, na, block_failures in results:

@@ -85,6 +85,20 @@ def test_exit_code_2_on_unreadable_input(tmp_path, argv):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+def test_graph_spec_names_a_file_with_a_colon(tmp_path):
+    (tmp_path / "g:1.txt").write_text(write_edge_list(path_graph(3)))
+    proc = run_cli("verify", "product", "--g", "g:1.txt", "--m", "3", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "product\tBg m=3\tholds" in proc.stdout
+    proc = run_cli("construct", "join", "--g1", str(tmp_path / "g:1.txt"), "--g2", "path:1",
+                   "--format", "graph6")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "Cn\n"  # P_3 joined with K_1: K_4 minus the edge 02
+    # a family spec still parses when no such file exists
+    proc = run_cli("construct", "prod", "--g", "path:3", "--m", "2", cwd=tmp_path)
+    assert proc.returncode == 0 and proc.stdout.startswith("6 7\n")
+
+
 def test_exit_code_2_on_bad_params():
     proc = run_cli("compute", "dim", "--construct", "F", "99")
     assert proc.returncode == 2

@@ -1,21 +1,26 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from edimlab import (
     NTooLargeError,
     build_graph,
+    canonical_mask,
+    connected_classes,
     construct_F,
     edge_metric_dimension,
     enumerate_connected_graphs,
     full_edim_condition,
     is_connected,
+    labeled_masks,
     metric_dimension,
     parse_graph6,
     ratio_extremes,
     survey_triples,
     write_graph6,
 )
+from edimlab.experiments import _class_levels
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
 
@@ -57,15 +62,67 @@ def test_enumeration_streams_ascending_distinct_graphs():
     assert masks == sorted(masks)
 
 
-def test_distinct_only_quotients_by_signature():
-    full = list(enumerate_connected_graphs(4))
-    thinned = list(enumerate_connected_graphs(4, distinct_only=True))
-    assert len(thinned) < len(full)
-    # first representative of each signature is kept, so the stream stays ascending
-    assert [g.edges for g in thinned] == [g.edges for g in full if g in thinned]
-    # paths on 4 vertices collapse to one representative
-    paths = [g for g in thinned if sorted(len(a) for a in g.adjacency) == [1, 1, 2, 2]]
-    assert len(paths) == 1
+# connected graphs on n vertices: up to isomorphism (OEIS A001349) and labeled (A001187)
+A001349 = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+A001187 = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
+
+
+def _mask_of(n, edges):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return sum(1 << pairs.index((min(u, v), max(u, v))) for u, v in edges)
+
+
+def _adj_bits(n, edges):
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def _relabelled_masks(n, edges):
+    """Brute force: the mask of every relabelling, one per permutation."""
+    return [_mask_of(n, [(p[u], p[v]) for u, v in edges]) for p in permutations(range(n))]
+
+
+def test_class_counts_and_weights_match_oeis():
+    for n, classes in _class_levels(7):
+        assert len(classes) == A001349[n]
+        assert sum(weight for _, weight in classes) == A001187[n]
+        masks = [mask for mask, _ in classes]
+        assert masks == sorted(set(masks))
+    assert connected_classes(5) == list(_class_levels(5))[-1][1]
+
+
+def test_classes_match_the_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas = {n: set() for n in range(1, 8)}
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if 1 <= n <= 7 and nx.is_connected(h):
+            nodes = sorted(h.nodes())
+            edges = [(nodes.index(u), nodes.index(v)) for u, v in h.edges()]
+            atlas[n].add(canonical_mask(n, _adj_bits(n, edges))[0])
+    for n, classes in _class_levels(7):
+        assert {mask for mask, _ in classes} == atlas[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_canonical_mask_is_the_lowest_relabelling_and_counts_automorphisms(n):
+    lowest = {}
+    for g in enumerate_connected_graphs(n):
+        masks = _relabelled_masks(n, g.edges)
+        mask, aut = canonical_mask(n, g.adj_bits)
+        assert mask == min(masks)
+        own = _mask_of(n, g.edges)
+        assert aut == masks.count(own)  # permutations that fix the graph
+        assert labeled_masks(n, own) == sorted(set(masks))
+        lowest.setdefault(mask, []).append(own)
+    assert sorted(lowest) == [mask for mask, _ in connected_classes(n)]
+    weights = dict(connected_classes(n))
+    for mask, members in lowest.items():
+        assert min(members) == mask
+        assert weights[mask] == len(members)
 
 
 def test_enumeration_caps_n():
@@ -127,3 +184,23 @@ def test_ratio_n6_reaches_two_via_F2():
     ratio, witnesses = ratio_extremes(6)
     assert ratio >= 2
     assert write_graph6(construct_F(2).graph) in witnesses
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_class_census_matches_a_labeled_reference(n):
+    """Survey rows and ratio witnesses equal a tally over every labeled graph."""
+    rows, best, witnesses = {}, None, []
+    for g in enumerate_connected_graphs(n):  # ascending masks
+        dim, edim = metric_dimension(g).value, edge_metric_dimension(g).value
+        count, example = rows.get((dim, edim), (0, write_graph6(g)))
+        rows[(dim, edim)] = (count + 1, example)
+        ratio = Fraction(edim, dim)
+        if best is None or ratio > best:
+            best, witnesses = ratio, []
+        if ratio == best:
+            witnesses.append(write_graph6(g))
+    assert [(r.dim, r.edim, r.count, r.example_graph6) for r in survey_triples(n)] == [
+        (dim, edim, count, example) for (dim, edim), (count, example) in sorted(rows.items())
+    ]
+    assert ratio_extremes(n) == (best, witnesses)
+    assert ratio_extremes(n, threads=2) == (best, witnesses)

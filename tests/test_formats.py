@@ -1,9 +1,14 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edimlab import (
+    BadParamsError,
     DuplicateEdgeError,
     FormatError,
+    Graph,
+    SelfLoopError,
+    VertexOutOfRangeError,
     build_graph,
     parse_edge_list,
     parse_graph6,
@@ -109,3 +114,47 @@ def test_parse_graph_text_sniffs_format():
     assert parse_graph_text(write_graph6(g)) == g
     with pytest.raises(FormatError):
         parse_graph_text("")
+
+
+_TOKENS = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["--1", "+1", "1.5", "0x1", "²", "١", "x", "#", "", "Bw", "~@?", "é"]),
+)
+# edge-list shaped text: lines of zero to three tokens, often a header and edges
+_LINES = st.lists(st.lists(_TOKENS, min_size=0, max_size=3).map(" ".join), max_size=6)
+_MALFORMED = st.one_of(
+    st.text(alphabet=st.characters(codec="utf-8", exclude_characters="\x00"), max_size=40),
+    st.text(alphabet="0123456789 -#\n\t\r\x85?@ABCw~", max_size=40),
+    _LINES.map("\n".join),
+    st.text(alphabet=st.characters(min_codepoint=63, max_codepoint=126), max_size=12).map(
+        lambda body: ">>graph6<<" + body  # graph6 shaped: header, size field, data
+    ),
+)
+# what build_graph raises for a well-formed edge list naming an invalid graph
+_GRAPH_VALIDATION = (BadParamsError, DuplicateEdgeError, SelfLoopError, VertexOutOfRangeError)
+
+
+@given(_MALFORMED, st.sampled_from(["auto", "edgelist", "graph6"]))
+@settings(max_examples=1000, deadline=None)
+def test_malformed_text_raises_only_format_errors(text, fmt):
+    try:
+        g = parse_graph_text(text, fmt)
+    except FormatError:
+        return
+    except _GRAPH_VALIDATION:
+        assert fmt != "graph6"  # the graph6 reader builds only valid graphs
+        return
+    assert isinstance(g, Graph)
+
+
+@pytest.mark.parametrize("text", ["--1 0\n", "2 1\n0 --1\n", "² 0\n", "2 1\n0 ¹\n"])
+def test_edge_list_rejects_integers_int_cannot_read(text):
+    with pytest.raises(FormatError):
+        parse_graph_text(text, "edgelist")
+
+
+def test_edge_list_integer_past_the_digit_limit_is_a_graph_error():
+    # int() refuses more than 4300 digits on Pythons with the limit; either
+    # way the reader must end in a GraphError (exit code 2), not a ValueError
+    with pytest.raises((FormatError, BadParamsError)):
+        parse_graph_text("9" * 5000 + " 0\n", "edgelist")

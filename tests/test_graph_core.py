@@ -1,3 +1,5 @@
+from operator import add
+
 import pytest
 from hypothesis import given, settings
 
@@ -98,11 +100,14 @@ def test_distance_matrix_invariants_exhaustive_extended(n):
     for g in enumerate_connected_graphs(n):
         d = all_pairs_distances(g).d
         for i in range(n):
-            assert d[i][i] == 0
+            row = d[i]
+            assert row[i] == 0
             for j in range(i + 1, n):
-                assert d[i][j] == d[j][i]
-                assert (d[i][j] == 1) == g.has_edge(i, j)
-                assert all(d[i][j] <= d[i][k] + d[k][j] for k in range(n))
+                assert row[j] == d[j][i]
+                assert (row[j] == 1) == g.has_edge(i, j)
+                # d[i][j] <= d[i][k] + d[k][j] for every k, reading d[k][j] as
+                # d[j][k]: symmetry is asserted for every pair
+                assert row[j] <= min(map(add, row, d[j]))
 
 
 @given(connected_graphs(max_n=8))

@@ -45,3 +45,12 @@ def test_worker_count_is_clamped(monkeypatch, pool_sizes, threads, cores, blocks
     out = _par.run_blocks(lambda b: b * 2, list(range(blocks)), threads)
     assert out == [b * 2 for b in range(blocks)]
     assert pool_sizes == ([] if expected == 1 else [expected])
+
+
+@pytest.mark.parametrize("count, threads", [(0, 1), (5, 1), (5, 2), (112, 2), (853, 3)])
+def test_item_blocks_are_contiguous_runs_in_order(count, threads):
+    items = list(range(count))
+    blocks = _par.item_blocks(items, threads)
+    assert [x for block in blocks for x in block] == items
+    assert all(blocks)
+    assert len(blocks) <= (1 if threads <= 1 else threads * 8)

@@ -14,11 +14,14 @@ from edimlab import (
     check_product_theorem,
     check_vertex_count_bound,
     construct_F,
+    enumerate_connected_graphs,
     full_edim_condition,
     join_K1_predicate,
     sweep_theorem,
+    write_graph6,
 )
-from edimlab.theorems import HOLDS, NOT_APPLICABLE
+from edimlab import theorems
+from edimlab.theorems import FAILS, HOLDS, NOT_APPLICABLE, TheoremReport
 
 from conftest import complete, cycle, path, star
 
@@ -135,3 +138,36 @@ def test_sweep_counts_are_deterministic_across_threads():
     a = sweep_theorem("ncondition", 5, threads=1)
     b = sweep_theorem("ncondition", 5, threads=3)
     assert a == b
+
+
+def _fake_vertex_bound(g, graph_id=None):
+    """Fails on unicyclic graphs (m = n) with a labelling-dependent certificate;
+    trees are not applicable; everything else holds."""
+    gid = write_graph6(g)
+    if g.m == g.n:
+        return TheoremReport("vertex_bound", gid, FAILS, {"edges": [list(e) for e in g.edges]})
+    if g.m == g.n - 1:
+        return TheoremReport("vertex_bound", gid, NOT_APPLICABLE, {"reason": "tree"})
+    return TheoremReport("vertex_bound", gid, HOLDS)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failing_classes_are_expanded_to_every_labeled_graph(monkeypatch, threads):
+    monkeypatch.setattr(theorems, "check_vertex_count_bound", _fake_vertex_bound)
+    per_n, failures = [], []
+    for n in range(2, 6):
+        tally = {HOLDS: 0, FAILS: 0, NOT_APPLICABLE: 0}
+        for g in enumerate_connected_graphs(n):
+            report = _fake_vertex_bound(g)
+            tally[report.verdict] += 1
+            if report.verdict == FAILS:
+                failures.append(report)
+        per_n.append((n, sum(tally.values()), tally[HOLDS], tally[FAILS], tally[NOT_APPLICABLE]))
+    failures.sort(key=lambda r: r.graph)
+    summary = sweep_theorem("vertex_bound", 5, threads=threads)
+    assert summary.per_n == tuple(per_n)
+    assert summary.failures == tuple(failures)
+    assert summary.fails == sum(row[3] for row in per_n) > 0
+    assert (summary.graphs, summary.holds, summary.not_applicable) == (
+        sum(row[1] for row in per_n), sum(row[2] for row in per_n), sum(row[4] for row in per_n),
+    )
