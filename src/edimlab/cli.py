@@ -25,30 +25,7 @@ from .errors import BadParamsError, DisconnectedError, FormatError, GraphError
 from .formats import parse_graph_text, write_edge_list, write_graph6
 from .graph import Graph
 from .resolver import edge_metric_dimension, metric_dimension, min_joint_cover
-from .theorems import (
-    FAILS,
-    check_Fk_theorem,
-    check_Hk_theorem,
-    check_corollary_diam_triangle,
-    check_edge_count_bound,
-    check_join_K1_theorem,
-    check_max_degree_lemmas,
-    check_ncondition_theorem,
-    check_product_theorem,
-    check_vertex_count_bound,
-    sweep_theorem,
-)
-
-SINGLE_CHECKS = {
-    "ncondition": check_ncondition_theorem,
-    "corollary": check_corollary_diam_triangle,
-    "vertex_bound": check_vertex_count_bound,
-    "edge_bound": check_edge_count_bound,
-    "degree_lemmas": check_max_degree_lemmas,
-    "join": check_join_K1_theorem,
-}
-
-THEOREM_IDS = (*SINGLE_CHECKS, "product", "fk", "hk")
+from .theorems import CHECKS, FAILS, check_Fk_theorem, check_Hk_theorem, sweep_theorem
 
 
 def _build_from_tokens(tokens) -> LabeledConstruction | Graph:
@@ -109,17 +86,19 @@ def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_manifest(out_path: Path, command: list[str], input_digest: str, outputs: list[Path]) -> None:
-    manifest = {
+def _write_json(path, doc) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_manifest(out_path: Path, command: list[str], outputs: list[Path]) -> None:
+    _write_json(out_path, {
         "command": command,
-        "input_digest": input_digest,
         "tool_version": __version__,
         "seed": None,
         "outputs": [
             {"path": p.name, "sha256": _sha256_bytes(p.read_bytes())} for p in outputs
         ],
-    }
-    out_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def cmd_compute(args) -> int:
@@ -171,10 +150,7 @@ def cmd_construct(args) -> int:
             else tuple(str(v) for v in range(g.n))
         )
         sidecar = out.with_name(out.name + ".labels.json")
-        sidecar.write_text(
-            json.dumps({str(i): lab for i, lab in enumerate(labels)}, indent=2, sort_keys=True)
-            + "\n"
-        )
+        _write_json(sidecar, {str(i): lab for i, lab in enumerate(labels)})
         sys.stdout.write(f"wrote {out} (n={g.n}, m={g.m}) and {sidecar}\n")
     else:
         sys.stdout.write(text)
@@ -189,41 +165,27 @@ def _verify_single(reports, report_path) -> int:
     lines.append(f"summary: {len(reports)} checked, {holds} holds, {fails} fails, {na} not_applicable")
     sys.stdout.write("\n".join(lines) + "\n")
     if report_path:
-        doc = {
+        _write_json(report_path, {
             "summary": {"checked": len(reports), "holds": holds, "fails": fails,
                         "not_applicable": na},
-            "reports": [
-                {"theorem_id": r.theorem_id, "graph": r.graph, "verdict": r.verdict,
-                 "certificate": r.certificate}
-                for r in reports
-            ],
-        }
-        Path(report_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            "reports": [r.to_dict() for r in reports],
+        })
     return 4 if fails else 0
 
 
 def cmd_verify(args) -> int:
     theorem = args.theorem
     if theorem in ("fk", "hk"):
-        if args.kmax is None:
-            raise BadParamsError(f"{theorem} needs --kmax")
+        if args.kmax is None or args.kmax < 1:
+            raise BadParamsError(f"{theorem} needs --kmax of at least 1")
         check = check_Fk_theorem if theorem == "fk" else check_Hk_theorem
-        reports = [check(k) for k in range(1, args.kmax + 1)]
-        return _verify_single(reports, args.report)
+        return _verify_single([check(k) for k in range(1, args.kmax + 1)], args.report)
     if args.graph or args.g:
         g = _parse_spec(args.g) if args.g else _read_graph_file(args.graph)
-        if theorem == "product":
-            if args.m is None:
-                raise BadParamsError("product needs --m M")
-            reports = [check_product_theorem(g, args.m)]
-        else:
-            reports = [SINGLE_CHECKS[theorem](g)]
-        return _verify_single(reports, args.report)
+        return _verify_single([CHECKS[theorem].run(g, args.m)], args.report)
     if args.sweep is None:
         raise BadParamsError("provide --graph, --g, or --sweep")
-    if theorem == "product" and args.m is None:
-        raise BadParamsError("product needs --m M")
-    summary = sweep_theorem(theorem, args.sweep, threads=args.threads, m=args.m or 2)
+    summary = sweep_theorem(theorem, args.sweep, threads=args.threads, m=args.m)
     lines = []
     for n, graphs, holds, fails, na in summary.per_n:
         lines.append(f"n={n}: {graphs} graphs, {holds} holds, {fails} fails, {na} not_applicable")
@@ -236,7 +198,7 @@ def cmd_verify(args) -> int:
     )
     sys.stdout.write("\n".join(lines) + "\n")
     if args.report:
-        doc = {
+        _write_json(args.report, {
             "theorem_id": summary.theorem_id,
             "scope": {"sweep_n_max": args.sweep},
             "summary": {
@@ -247,13 +209,8 @@ def cmd_verify(args) -> int:
                 {"n": n, "graphs": graphs, "holds": holds, "fails": fails, "not_applicable": na}
                 for n, graphs, holds, fails, na in summary.per_n
             ],
-            "failures": [
-                {"theorem_id": r.theorem_id, "graph": r.graph, "verdict": r.verdict,
-                 "certificate": r.certificate}
-                for r in summary.failures
-            ],
-        }
-        Path(args.report).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            "failures": [r.to_dict() for r in summary.failures],
+        })
     return 0 if summary.ok else 4
 
 
@@ -269,13 +226,7 @@ def cmd_survey(args) -> int:
     if args.out:
         out = Path(args.out)
         out.write_text(text)
-        digest = _sha256_bytes(f"survey:n={args.n}".encode())
-        _write_manifest(
-            out.with_name(out.name + ".manifest.json"),
-            ["survey", str(args.n)],
-            digest,
-            [out],
-        )
+        _write_manifest(out.with_name(out.name + ".manifest.json"), ["survey", str(args.n)], [out])
         sys.stdout.write(f"wrote {out} ({len(rows)} rows)\n")
     else:
         sys.stdout.write(text)
@@ -311,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(fn=cmd_construct)
 
     v = sub.add_parser("verify", help="run a theorem check on a graph, sweep, or k range")
-    v.add_argument("theorem", choices=sorted(THEOREM_IDS))
+    v.add_argument("theorem", choices=sorted([*CHECKS, "fk", "hk"]))
     v.add_argument("--graph", help="graph file to check")
     v.add_argument("--g", help="inline graph spec, e.g. path:3")
     v.add_argument("--sweep", type=int, metavar="N_MAX",

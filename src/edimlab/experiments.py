@@ -24,7 +24,7 @@ from math import factorial
 from ._par import item_blocks, run_blocks
 from .errors import BadParamsError, NTooLargeError
 from .formats import write_graph6
-from .graph import Graph, _graph_from_edges
+from .graph import Graph, _graph_from_edges, is_connected
 from .resolver import edge_metric_dimension, metric_dimension
 
 MAX_ENUM_N = 8
@@ -50,33 +50,21 @@ def _check_enum_n(n: int) -> None:
         raise NTooLargeError(f"exhaustive enumeration capped at n={MAX_ENUM_N}, got {n}")
 
 
-def _connected_graph_from_mask(n: int, mask: int) -> Graph | None:
+def _graph_of_mask(n: int, mask: int) -> Graph:
+    """The graph on n vertices with this adjacency mask, connected or not."""
     edges = []
-    adj_bits = [0] * n
     bit = 1
     for i in range(n):
         for j in range(i + 1, n):
             if mask & bit:
                 edges.append((i, j))
-                adj_bits[i] |= 1 << j
-                adj_bits[j] |= 1 << i
             bit <<= 1
-    if n > 1:
-        full = (1 << n) - 1
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= adj_bits[low.bit_length() - 1]
-                m ^= low
-            frontier = nxt & ~seen
-            seen |= frontier
-        if seen != full:
-            return None
     return _graph_from_edges(n, tuple(edges))
+
+
+def _connected_graph_from_mask(n: int, mask: int) -> Graph | None:
+    g = _graph_of_mask(n, mask)
+    return g if is_connected(g) else None
 
 
 def enumerate_connected_graphs(n: int):
@@ -97,11 +85,6 @@ def _pair_bits(n: int) -> list[list[int]]:
             bits[i][j] = bits[j][i] = 1 << p
             p += 1
     return bits
-
-
-def _adj_bits_of_mask(n: int, mask: int) -> list[int]:
-    bits = _pair_bits(n)
-    return [sum(1 << j for j in range(n) if mask & bits[i][j]) for i in range(n)]
 
 
 def canonical_mask(n: int, adj_bits) -> tuple[int, int]:
@@ -156,7 +139,7 @@ def _class_levels(n_max: int):
         auts: dict[int, int] = {}
         new = 1 << (n - 1)
         for parent, _ in level:
-            adj = _adj_bits_of_mask(n - 1, parent) + [0]
+            adj = [*_graph_of_mask(n - 1, parent).adj_bits, 0]
             for nbrs in range(1, new):
                 child = [a | new if nbrs >> v & 1 else a for v, a in enumerate(adj)]
                 child[-1] = nbrs
@@ -182,7 +165,7 @@ def connected_classes(n: int) -> list[tuple[int, int]]:
 def labeled_masks(n: int, mask: int) -> list[int]:
     """Masks of every relabelling of the graph with this mask, ascending."""
     bits = _pair_bits(n)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask & bits[i][j]]
+    edges = _graph_of_mask(n, mask).edges
     found = set()
     for perm in permutations(range(n)):
         out = 0
@@ -192,18 +175,23 @@ def labeled_masks(n: int, mask: int) -> list[int]:
     return sorted(found)
 
 
-def _survey_block(job) -> dict[tuple[int, int], tuple[int, int]]:
+def _survey_block(job) -> list[tuple[int, int, int, int]]:
+    """(mask, weight, dim, edim) of each class in one block."""
     n, classes = job
-    acc: dict[tuple[int, int], tuple[int, int]] = {}
+    out = []
     for mask, weight in classes:
         g = _connected_graph_from_mask(n, mask)
-        key = (metric_dimension(g).value, edge_metric_dimension(g).value)
-        got = acc.get(key)
-        if got is None:
-            acc[key] = (weight, mask)
-        else:
-            acc[key] = (got[0] + weight, got[1])
-    return acc
+        out.append((mask, weight, metric_dimension(g).value, edge_metric_dimension(g).value))
+    return out
+
+
+def _solved_classes(n: int, threads: int) -> list[tuple[int, int, int, int]]:
+    """(mask, weight, dim, edim) of every class on n vertices, in ascending mask order."""
+    _check_enum_n(n)
+    if n > 7:
+        raise NTooLargeError(f"census capped at n=7, got {n}")
+    jobs = [(n, block) for block in item_blocks(connected_classes(n), threads)]
+    return [row for block in run_blocks(_survey_block, jobs, threads) for row in block]
 
 
 def survey_triples(n: int, threads: int = 1) -> list[SurveyRow]:
@@ -211,42 +199,16 @@ def survey_triples(n: int, threads: int = 1) -> list[SurveyRow]:
 
     Each isomorphism class is solved once and counted with its weight.
     """
-    _check_enum_n(n)
-    if n > 7:
-        raise NTooLargeError(f"survey capped at n=7, got {n}")
-    jobs = [(n, block) for block in item_blocks(connected_classes(n), threads)]
     merged: dict[tuple[int, int], tuple[int, int]] = {}
-    for block in run_blocks(_survey_block, jobs, threads):
-        for key, (count, mask) in block.items():
-            got = merged.get(key)
-            if got is None:
-                merged[key] = (count, mask)
-            else:
-                merged[key] = (got[0] + count, min(got[1], mask))
+    for mask, weight, dim, edim in _solved_classes(n, threads):
+        # masks ascend, so the first mask of a key is its lowest
+        count, example = merged.get((dim, edim), (0, mask))
+        merged[dim, edim] = (count + weight, example)
     rows = []
     for (dim, edim), (count, mask) in sorted(merged.items()):
         example = write_graph6(_connected_graph_from_mask(n, mask))
         rows.append(SurveyRow(n, dim, edim, count, example))
     return rows
-
-
-def _ratio_block(job) -> tuple[Fraction, list[int]] | None:
-    n, classes = job
-    best: Fraction | None = None
-    masks: list[int] = []
-    for mask, _ in classes:
-        g = _connected_graph_from_mask(n, mask)
-        dim = metric_dimension(g).value
-        if dim == 0:
-            continue
-        ratio = Fraction(edge_metric_dimension(g).value, dim)
-        if best is None or ratio > best:
-            best, masks = ratio, [mask]
-        elif ratio == best:
-            masks.append(mask)
-    if best is None:
-        return None
-    return best, masks
 
 
 def ratio_extremes(n: int, threads: int = 1) -> tuple[Fraction, list[str]]:
@@ -256,21 +218,10 @@ def ratio_extremes(n: int, threads: int = 1) -> tuple[Fraction, list[str]]:
     exact ratio and the graph6 encodings of all maximizing labeled graphs,
     in ascending mask order: every relabelling of every maximizing class.
     """
-    _check_enum_n(n)
-    if n > 7:
-        raise NTooLargeError(f"ratio sweep capped at n=7, got {n}")
-    jobs = [(n, block) for block in item_blocks(connected_classes(n), threads)]
-    best: Fraction | None = None
-    classes: list[int] = []
-    for block in run_blocks(_ratio_block, jobs, threads):
-        if block is None:
-            continue
-        ratio, block_classes = block
-        if best is None or ratio > best:
-            best, classes = ratio, list(block_classes)
-        elif ratio == best:
-            classes.extend(block_classes)
-    if best is None:
+    solved = _solved_classes(n, threads)
+    ratios = {mask: Fraction(edim, dim) for mask, _, dim, edim in solved if dim}
+    if not ratios:
         raise BadParamsError(f"no graph with dim > 0 exists at n={n}")
-    masks = sorted(m for c in classes for m in labeled_masks(n, c))
+    best = max(ratios.values())
+    masks = sorted(m for c, r in ratios.items() if r == best for m in labeled_masks(n, c))
     return best, [write_graph6(_connected_graph_from_mask(n, mask)) for mask in masks]

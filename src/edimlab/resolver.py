@@ -17,17 +17,22 @@ upper bound.  The optimum value then comes from a depth-first
 branch-and-bound over the pairs' separator sets when refuting one size
 below the greedy bound could scan many landmark subsets, and otherwise from
 lexicographic scans that refute sizes downward (generator existence is
-monotone in size).  Either way one lexicographic scan at the optimum
-recovers the witness, and all bases when asked, so the answers do not
-depend on which search found the value.  Suffix unions of the bitsets prune
-scan subtrees that cannot cover the remaining pairs.
+monotone in size).  All scans are one generator, which yields the covers
+of one size in lexicographic order: its first item at the optimum is the
+witness and all its items are the bases, so the answers do not depend on
+which search found the value.  Suffix unions of the bitsets prune scan
+subtrees that cannot cover the remaining pairs.
+
+The bitsets take landmarks x C(objects, 2) bits; a solve that would need
+more than MAX_PAIR_BITS raises NTooLargeError before it computes anything.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
-from .errors import DisconnectedError, NoEdgesError, NotAnEdgeError
+from .errors import DisconnectedError, NoEdgesError, NotAnEdgeError, NTooLargeError
 from .graph import DistanceMatrix, Graph, all_pairs_distances, is_connected
 
 # Sizes are refuted by branch-and-bound once a lexicographic refutation of
@@ -38,6 +43,11 @@ from .graph import DistanceMatrix, Graph, all_pairs_distances, is_connected
 # below 10^4.25 subsets, broke even at 10^4.5-10^4.75, and took 0.5-0.8x
 # from 10^5 up.  All graphs with n <= 6 stay on the scans (C(6, 4) = 15).
 BRANCH_AND_BOUND_MIN_SUBSETS = 50_000
+
+# The pair bitsets take landmarks x C(objects, 2) bits, and inputs past this
+# many (512 MiB) are refused before any distance is computed.  F_6 and H_6
+# need about 1.9e8 bits; `complete 300` would need 3.0e11 for edim.
+MAX_PAIR_BITS = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -133,49 +143,37 @@ def _greedy_cover_size(bits: list[int], universe: int) -> int:
     return size
 
 
-def _first_cover(bits: list[int], suffix: list[int], universe: int, size: int):
-    """Lexicographically least cover of exactly `size` landmarks, or None."""
+def _covers(bits: list[int], suffix: list[int], universe: int, size: int):
+    """Yield every cover of exactly `size` landmarks, in lexicographic order.
+
+    Depth-first over the landmarks with an explicit stack: `chosen` holds
+    the landmarks taken, `above` the covers before each of them, and v is
+    the next candidate for the open slot.
+    """
     n = len(bits)
     chosen: list[int] = []
-
-    def rec(start: int, cover: int, slots: int):
-        for v in range(start, n - slots + 1):
-            # suffix unions shrink as v grows, so the first failure kills the rest
-            if cover | suffix[v] != universe:
-                return None
+    above: list[int] = []
+    cover, slots, v = 0, size, 0
+    while True:
+        # suffix unions shrink as v grows, so the first failure ends the slot
+        if v <= n - slots and cover | suffix[v] == universe:
             grown = cover | bits[v]
             if grown == universe:
-                return (*chosen, *range(v, v + slots))
-            if slots > 1:
+                # covered already: any slots - 1 later landmarks complete it
+                for rest in combinations(range(v + 1, n), slots - 1):
+                    yield (*chosen, v, *rest)
+            elif slots > 1:
                 chosen.append(v)
-                got = rec(v + 1, grown, slots - 1)
-                chosen.pop()
-                if got is not None:
-                    return got
-        return None
-
-    return rec(0, 0, size)
-
-
-def _all_covers(bits: list[int], suffix: list[int], universe: int, size: int):
-    n = len(bits)
-    out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def rec(start: int, cover: int, slots: int):
-        for v in range(start, n - slots + 1):
-            if cover | suffix[v] != universe:
-                return
-            if slots == 1:
-                if cover | bits[v] == universe:
-                    out.append((*chosen, v))
-            else:
-                chosen.append(v)
-                rec(v + 1, cover | bits[v], slots - 1)
-                chosen.pop()
-
-    rec(0, 0, size)
-    return out
+                above.append(cover)
+                cover = grown
+                slots -= 1
+            v += 1
+        elif chosen:
+            v = chosen.pop() + 1
+            cover = above.pop()
+            slots += 1
+        else:
+            return
 
 
 def _branch_and_bound_size(bits: list[int], universe: int, rows, n_obj: int, upper: int) -> int:
@@ -277,6 +275,15 @@ def _branch_and_bound_size(bits: list[int], universe: int, rows, n_obj: int, upp
     return best
 
 
+def _check_pair_bits(landmarks: int, objects: int) -> None:
+    need = landmarks * comb(objects, 2)
+    if need > MAX_PAIR_BITS:
+        raise NTooLargeError(
+            f"{landmarks} landmarks and {objects} objects need {need} bits of pair "
+            f"bitsets, over the cap of {MAX_PAIR_BITS}"
+        )
+
+
 def _minimum_cover(rows, n_obj: int, want_all: bool) -> DimensionResult:
     bits, universe = _distinguishing_bitsets(rows, n_obj)
     if universe == 0:
@@ -293,12 +300,12 @@ def _minimum_cover(rows, n_obj: int, want_all: bool) -> DimensionResult:
         opt = _branch_and_bound_size(bits, universe, rows, n_obj, opt)
     else:
         # generator existence is monotone in size: refute sizes downward
-        while opt > 1 and (found := _first_cover(bits, suffix, universe, opt - 1)) is not None:
+        while opt > 1 and (found := next(_covers(bits, suffix, universe, opt - 1), None)):
             witness, opt = found, opt - 1
-    if witness is None:
-        witness = _first_cover(bits, suffix, universe, opt)
-    all_bases = tuple(_all_covers(bits, suffix, universe, opt)) if want_all else None
-    return DimensionResult(opt, witness, all_bases)
+    if want_all:
+        all_bases = tuple(_covers(bits, suffix, universe, opt))
+        return DimensionResult(opt, all_bases[0], all_bases)
+    return DimensionResult(opt, witness or next(_covers(bits, suffix, universe, opt)))
 
 
 def metric_dimension(g: Graph, want_all_bases: bool = False) -> DimensionResult:
@@ -307,6 +314,7 @@ def metric_dimension(g: Graph, want_all_bases: bool = False) -> DimensionResult:
         raise DisconnectedError("metric dimension requires a connected graph")
     if g.n == 1:
         return DimensionResult(0, (), ((),) if want_all_bases else None)
+    _check_pair_bits(g.n, g.n)
     dm = all_pairs_distances(g)
     return _minimum_cover(dm.d, g.n, want_all_bases)
 
@@ -317,6 +325,7 @@ def edge_metric_dimension(g: Graph, want_all_bases: bool = False) -> DimensionRe
         raise DisconnectedError("edge metric dimension requires a connected graph")
     if g.m <= 1:
         return DimensionResult(0, (), ((),) if want_all_bases else None)
+    _check_pair_bits(g.n, g.m)
     dm = all_pairs_distances(g)
     edges = g.edges
     rows = [[min(drow[x], drow[y]) for x, y in edges] for drow in dm.d]

@@ -5,10 +5,16 @@ Every check returns a TheoremReport with verdict "holds", "fails", or
 concrete numbers needed to re-check the violation independently;
 not_applicable records which precondition excluded the instance.  Passing
 instances keep the certificate empty.
+
+CHECKS is the one registry of the statements that a sweep over all small
+connected graphs can check: it maps each id to its checker and to the
+smallest n the sweep feeds it.  The CLI takes its `verify` choices and its
+single-graph dispatch from it; F_k and H_k are checked per k instead.
 """
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
 from math import comb
 
 from ._par import item_blocks, run_blocks
@@ -28,34 +34,15 @@ HOLDS = "holds"
 FAILS = "fails"
 NOT_APPLICABLE = "not_applicable"
 
-SWEEPABLE_THEOREMS = (
-    "ncondition",
-    "corollary",
-    "vertex_bound",
-    "edge_bound",
-    "degree_lemmas",
-    "join",
-    "product",
-)
-
-# smallest n whose graphs a sweep should feed to each checker
-SWEEP_MIN_N = {
-    "ncondition": 3,
-    "corollary": 3,
-    "vertex_bound": 2,
-    "edge_bound": 2,
-    "degree_lemmas": 3,
-    "join": 2,
-    "product": 2,
-}
-
-
 @dataclass(frozen=True)
 class TheoremReport:
     theorem_id: str
     graph: str
     verdict: str
     certificate: dict = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
     def to_record(self) -> str:
         cert = json.dumps(self.certificate, sort_keys=True) if self.certificate else "{}"
@@ -254,11 +241,15 @@ def check_join_K1_theorem(g: Graph, graph_id: str | None = None) -> TheoremRepor
     )
 
 
+def _check_path_copies(m) -> None:
+    if not isinstance(m, int) or m < 2:
+        raise MTooSmallError(f"need at least 2 path copies, got {m!r}")
+
+
 def check_product_theorem(g: Graph, m: int, graph_id: str | None = None) -> TheoremReport:
     """k <= edim(g x P_m) <= k+1 for the joint-cover number k, with the
     constructed upper witness actually generating."""
-    if not isinstance(m, int) or m < 2:
-        raise MTooSmallError(f"need at least 2 path copies, got {m!r}")
+    _check_path_copies(m)
     gid = f"{_graph_id(g, graph_id)} m={m}"
     if g.m == 0:
         raise NoEdgesError("product theorem requires at least one edge")
@@ -292,24 +283,24 @@ class SweepSummary:
         return self.fails == 0
 
 
-def _check_graph(theorem_id: str, g: Graph, m: int) -> TheoremReport:
-    if theorem_id == "ncondition":
-        return check_ncondition_theorem(g)
-    if theorem_id == "corollary":
-        return check_corollary_diam_triangle(g)
-    if theorem_id == "vertex_bound":
-        return check_vertex_count_bound(g)
-    if theorem_id == "edge_bound":
-        return check_edge_count_bound(g)
-    if theorem_id == "degree_lemmas":
-        return check_max_degree_lemmas(g)
-    if theorem_id == "join":
-        return check_join_K1_theorem(g)
-    if theorem_id == "product":
-        if g.m == 0:
-            return _na("product", write_graph6(g), "needs at least one edge", m=0)
-        return check_product_theorem(g, m)
-    raise KeyError(f"unknown sweepable theorem {theorem_id!r}")
+@dataclass(frozen=True)
+class Checker:
+    run: Callable[[Graph, int | None], TheoremReport]  # run(g, m); only product reads m
+    min_n: int  # smallest n whose graphs a sweep feeds to it
+
+
+# The sweepable statements.  Each run looks its check_* function up by
+# global name when called, so a patched or wrapped theorems.check_* sees
+# every sweep call.
+CHECKS = {
+    "ncondition": Checker(lambda g, m: check_ncondition_theorem(g), 3),
+    "corollary": Checker(lambda g, m: check_corollary_diam_triangle(g), 3),
+    "vertex_bound": Checker(lambda g, m: check_vertex_count_bound(g), 2),
+    "edge_bound": Checker(lambda g, m: check_edge_count_bound(g), 2),
+    "degree_lemmas": Checker(lambda g, m: check_max_degree_lemmas(g), 3),
+    "join": Checker(lambda g, m: check_join_K1_theorem(g), 2),
+    "product": Checker(lambda g, m: check_product_theorem(g, m), 2),
+}
 
 
 def _sweep_block(job) -> tuple[int, int, int, int, list[TheoremReport]]:
@@ -317,15 +308,16 @@ def _sweep_block(job) -> tuple[int, int, int, int, list[TheoremReport]]:
     from .experiments import _connected_graph_from_mask, labeled_masks
 
     n, classes, theorem_id, m = job
+    run = CHECKS[theorem_id].run
     counts = {HOLDS: 0, FAILS: 0, NOT_APPLICABLE: 0}
     failures: list[TheoremReport] = []
     for mask, weight in classes:
-        report = _check_graph(theorem_id, _connected_graph_from_mask(n, mask), m)
+        report = run(_connected_graph_from_mask(n, mask), m)
         if report.verdict != FAILS:
             counts[report.verdict] += weight
             continue
         for labeled in labeled_masks(n, mask):
-            report = _check_graph(theorem_id, _connected_graph_from_mask(n, labeled), m)
+            report = run(_connected_graph_from_mask(n, labeled), m)
             counts[report.verdict] += 1
             if report.verdict == FAILS:
                 failures.append(report)
@@ -343,13 +335,16 @@ def sweep_theorem(theorem_id: str, n_max: int, threads: int = 1, m: int = 2) -> 
     counted and reported on its own, so the counts, failures and
     certificates are those of a sweep over every labeled graph.
     """
-    from .experiments import _class_levels
+    from .experiments import _check_enum_n, _class_levels
 
-    if theorem_id not in SWEEP_MIN_N:
+    if theorem_id not in CHECKS:
         raise KeyError(f"unknown sweepable theorem {theorem_id!r}")
+    _check_enum_n(n_max)
     if n_max > 7:
         raise NTooLargeError(f"theorem sweeps capped at n=7, got {n_max}")
-    n_lo = SWEEP_MIN_N[theorem_id]
+    if theorem_id == "product":
+        _check_path_copies(m)
+    n_lo = CHECKS[theorem_id].min_n
     totals = [0, 0, 0, 0]
     per_n = []
     failures: list[TheoremReport] = []

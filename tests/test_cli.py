@@ -104,6 +104,42 @@ def test_exit_code_2_on_bad_params():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # path copies: m < 2 is refused by a sweep as by a single graph
+        ("verify", "product", "--sweep", "3", "--m", "0"),
+        ("verify", "product", "--sweep", "3"),
+        ("verify", "product", "--g", "path:3", "--m", "0"),
+        # sweep sizes below 1, as for survey
+        ("verify", "ncondition", "--sweep", "0"),
+        ("verify", "join", "--sweep", "-3"),
+        ("survey", "0"),
+        # family ranges below 1
+        ("verify", "fk", "--kmax", "0"),
+        ("verify", "hk", "--kmax", "-2"),
+    ],
+)
+def test_exit_code_2_on_out_of_range_sweep_and_family(argv, capsys):
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
+def test_memory_guard_refuses_before_any_distance_is_computed(monkeypatch, capsys):
+    from edimlab import resolver
+
+    def unreachable(g):
+        raise AssertionError("all_pairs_distances ran past the memory guard")
+
+    monkeypatch.setattr(resolver, "all_pairs_distances", unreachable)
+    # edim of K_300: 300 landmarks x C(44850, 2) edge pairs, about 3.0e11 bits
+    assert main(["compute", "edim", "--construct", "complete", "300"]) == 2
+    assert "bits of pair bitsets" in capsys.readouterr().err
+    # dim of P_2100: 2100 landmarks x C(2100, 2) vertex pairs, about 4.6e9 bits
+    assert main(["compute", "dim", "--construct", "path", "2100"]) == 2
+
+
 def test_exit_code_3_on_disconnected_input(tmp_path):
     f = tmp_path / "disc.el"
     f.write_text("4 2\n0 1\n2 3\n")
@@ -184,11 +220,11 @@ def test_verify_requires_scope():
 
 
 def test_verify_exit_code_4_on_failure(monkeypatch, capsys):
-    from edimlab import cli
+    from edimlab import theorems
     from edimlab.theorems import TheoremReport
 
-    monkeypatch.setitem(
-        cli.SINGLE_CHECKS, "ncondition",
+    monkeypatch.setattr(
+        theorems, "check_ncondition_theorem",
         lambda g, graph_id=None: TheoremReport("ncondition", "stub", "fails", {"n": g.n}),
     )
     code = main(["verify", "ncondition", "--g", "path:3"])
@@ -211,6 +247,7 @@ def test_survey_writes_csv_and_manifest(tmp_path):
     assert sum(int(line.split(",")[3]) for line in lines[1:]) == 38
     manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
     assert manifest["tool_version"]
+    assert "input_digest" not in manifest  # a survey reads no input
     assert manifest["outputs"][0]["path"] == "s.csv"
     assert len(manifest["outputs"][0]["sha256"]) == 64
 
