@@ -1,10 +1,10 @@
 """Deterministic helpers for splitting sweeps across processes.
 
-Workers receive contiguous blocks of an ordered sequence (the ascending
-list of isomorphism classes, or a range of labeled masks) and return
-plain aggregates; pool.map preserves block order, so merged results never
-depend on scheduling.  threads <= 1 runs everything in-process and is the
-reference behaviour.
+Workers receive contiguous blocks of the ascending list of isomorphism
+classes of one census level (`experiments.class_sweep` is the only
+caller) and return plain aggregates; pool.map preserves block order, so
+merged results never depend on scheduling.  threads <= 1 runs everything
+in-process and is the reference behaviour.
 """
 
 import multiprocessing

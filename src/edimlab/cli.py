@@ -22,6 +22,7 @@ from .constructions import (
     standard_family,
 )
 from .errors import BadParamsError, DisconnectedError, FormatError, GraphError
+from .experiments import survey_triples
 from .formats import parse_graph_text, write_edge_list, write_graph6
 from .graph import Graph
 from .resolver import edge_metric_dimension, metric_dimension, min_joint_cover
@@ -215,8 +216,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    from .experiments import survey_triples
-
     rows = survey_triples(args.n, threads=args.threads)
     out_lines = ["n,dim,edim,count,example_graph6"]
     out_lines.extend(

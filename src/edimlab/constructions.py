@@ -98,18 +98,21 @@ def cartesian_path(g: Graph, m: int) -> LabeledConstruction:
 def product_upper_witness(g: Graph, m: int) -> set[int]:
     """Edge generator of size k+1 for the product of g with an m-copy path.
 
-    Takes the joint-cover witness pair (S, T), puts M = S ∪ T in the first
-    copy, and adds the last copy of t = min(M).
+    Built by `witness_from_joint_cover` from the joint-cover witness pair.
     """
     if not isinstance(m, int) or m < 2:
         raise MTooSmallError(f"need at least 2 path copies, got {m!r}")
     if g.m == 0:
         raise NoEdgesError("product witness requires at least one edge")
-    _, (s, t) = min_joint_cover(g)
-    merged = set(s) | set(t)
-    anchor = min(merged)
-    witness = set(merged)
-    witness.add((m - 1) * g.n + anchor)
+    return witness_from_joint_cover(g, m, min_joint_cover(g)[1])
+
+
+def witness_from_joint_cover(g: Graph, m: int, cover) -> set[int]:
+    """Puts M = S ∪ T of the joint-cover pair (S, T) in the first copy,
+    and adds the last copy of t = min(M)."""
+    s, t = cover
+    witness = set(s) | set(t)
+    witness.add((m - 1) * g.n + min(witness))
     return witness
 
 

@@ -7,13 +7,14 @@ mask order.  `connected_classes` lists one graph per isomorphism class:
 its canonical mask, the lowest mask over all its relabellings, with the
 weight n!/|Aut|, the number of labeled graphs in the class.
 
-Surveys and ratio sweeps solve each class once and add up the weights, so
-their counts are those of the labeled census.  A survey row keeps the
-lowest mask with its (dim, edim) as a graph6 example; that mask is a
-canonical one.  The graphs attaining the extreme ratio are every
-relabelling of the attaining classes, listed in ascending mask order.
-Aggregation is order-independent, so multi-process runs merge to
-identical output.
+Surveys, ratio sweeps and theorem sweeps all run through `class_sweep`,
+which holds the census cap and fans each level out over `--threads`
+workers.  They solve each class once and add up the weights, so their
+counts are those of the labeled census.  A survey row keeps the lowest
+mask with its (dim, edim) as a graph6 example; that mask is a canonical
+one.  The graphs attaining the extreme ratio are every relabelling of
+the attaining classes, listed in ascending mask order.  Aggregation is
+order-independent, so multi-process runs merge to identical output.
 """
 
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from .graph import Graph, _graph_from_edges, is_connected
 from .resolver import edge_metric_dimension, metric_dimension
 
 MAX_ENUM_N = 8
+CENSUS_MAX_N = 7  # largest n that a census or theorem sweep solves
 
 # canonical_mask's state bytes: a placed vertex, and the table shifting each row up one bit
 _PLACED = 255
@@ -185,13 +187,30 @@ def _survey_block(job) -> list[tuple[int, int, int, int]]:
     return out
 
 
+def class_sweep(block_fn, n_lo: int, n_max: int, threads: int, *args):
+    """Yield (n, block results) for n = n_lo..n_max.
+
+    Each level's classes are split into contiguous blocks, and
+    block_fn((n, block, *args)) runs on every block, in-process or on up
+    to `threads` workers; the results come back in block order.
+    """
+    _check_enum_n(n_max)
+    if n_max > CENSUS_MAX_N:
+        raise NTooLargeError(f"census capped at n={CENSUS_MAX_N}, got {n_max}")
+    if n_lo > n_max:
+        raise BadParamsError(f"nothing to sweep below n={n_lo}, got n_max={n_max}")
+    for n, classes in _class_levels(n_max):
+        if n >= n_lo:
+            jobs = [(n, block, *args) for block in item_blocks(classes, threads)]
+            yield n, run_blocks(block_fn, jobs, threads)
+
+
 def _solved_classes(n: int, threads: int) -> list[tuple[int, int, int, int]]:
     """(mask, weight, dim, edim) of every class on n vertices, in ascending mask order."""
-    _check_enum_n(n)
-    if n > 7:
-        raise NTooLargeError(f"census capped at n=7, got {n}")
-    jobs = [(n, block) for block in item_blocks(connected_classes(n), threads)]
-    return [row for block in run_blocks(_survey_block, jobs, threads) for row in block]
+    return [
+        row for _, blocks in class_sweep(_survey_block, n, n, threads)
+        for block in blocks for row in block
+    ]
 
 
 def survey_triples(n: int, threads: int = 1) -> list[SurveyRow]:

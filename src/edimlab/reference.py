@@ -9,6 +9,8 @@ so they can serve as an independent check on the optimized solver.
 from itertools import combinations
 
 from .errors import DisconnectedError
+from .experiments import enumerate_connected_graphs
+from .formats import write_graph6
 from .graph import Graph, all_pairs_distances, is_connected
 from .resolver import DimensionResult, edge_metric_dimension, metric_dimension
 
@@ -48,15 +50,14 @@ def edge_metric_dimension_naive(g: Graph, want_all_bases: bool = False) -> Dimen
     return _scan(list(g.edges), dm, g.n, want_all_bases)
 
 
-def _equivalence_block(job) -> list[str]:
-    from .experiments import _connected_graph_from_mask
+def equivalence_sweep(n: int) -> list[str]:
+    """Compare optimized and naive solvers on every connected graph with n vertices.
 
-    n, masks = job
+    Returns mismatch descriptions; an empty list means full agreement on
+    both the value and the lexicographically-first witness.
+    """
     bad = []
-    for mask in masks:
-        g = _connected_graph_from_mask(n, mask)
-        if g is None:
-            continue
+    for g in enumerate_connected_graphs(n):
         for name, fast, slow in (
             ("dim", metric_dimension, metric_dimension_naive),
             ("edim", edge_metric_dimension, edge_metric_dimension_naive),
@@ -65,24 +66,7 @@ def _equivalence_block(job) -> list[str]:
             b = slow(g)
             if (a.value, a.witness) != (b.value, b.witness):
                 bad.append(
-                    f"{name} mismatch on n={n} mask={mask}: "
+                    f"{name} mismatch on {write_graph6(g)}: "
                     f"optimized ({a.value}, {a.witness}) vs naive ({b.value}, {b.witness})"
                 )
     return bad
-
-
-def equivalence_sweep(n: int, threads: int = 1) -> list[str]:
-    """Compare optimized and naive solvers on every connected graph with n vertices.
-
-    Returns mismatch descriptions; an empty list means full agreement on
-    both the value and the lexicographically-first witness.
-    """
-    from ._par import item_blocks, run_blocks
-
-    masks = range(1 << (n * (n - 1) // 2))
-    jobs = [(n, block) for block in item_blocks(masks, threads)]
-    results = run_blocks(_equivalence_block, jobs, threads)
-    merged = []
-    for chunk in results:
-        merged.extend(chunk)
-    return merged

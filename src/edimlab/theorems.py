@@ -13,19 +13,14 @@ single-graph dispatch from it; F_k and H_k are checked per k instead.
 """
 
 import json
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from math import comb
 
-from ._par import item_blocks, run_blocks
-from .constructions import cartesian_path, construct_F, construct_H, join, product_upper_witness
-from .errors import (
-    DisconnectedError,
-    KOutOfRangeError,
-    MTooSmallError,
-    NoEdgesError,
-    NTooLargeError,
-)
+from .constructions import cartesian_path, construct_F, construct_H, join, witness_from_joint_cover
+from .errors import DisconnectedError, KOutOfRangeError, MTooSmallError, NoEdgesError
+from .experiments import _connected_graph_from_mask, class_sweep, labeled_masks
 from .formats import write_graph6
 from .graph import Graph, bits_of, build_graph, diameter, is_connected, max_degree
 from .resolver import edge_metric_dimension, is_edge_generator, metric_dimension, min_joint_cover
@@ -253,10 +248,10 @@ def check_product_theorem(g: Graph, m: int, graph_id: str | None = None) -> Theo
     gid = f"{_graph_id(g, graph_id)} m={m}"
     if g.m == 0:
         raise NoEdgesError("product theorem requires at least one edge")
-    k, _ = min_joint_cover(g)
+    k, cover = min_joint_cover(g)
     product = cartesian_path(g, m).graph
     edim = edge_metric_dimension(product).value
-    witness = product_upper_witness(g, m)
+    witness = witness_from_joint_cover(g, m, cover)
     witness_ok = is_edge_generator(product, witness)
     if k <= edim <= k + 1 and witness_ok:
         return TheoremReport("product", gid, HOLDS)
@@ -303,13 +298,12 @@ CHECKS = {
 }
 
 
-def _sweep_block(job) -> tuple[int, int, int, int, list[TheoremReport]]:
-    """Check one block of classes; a failing class is rechecked on every relabelling."""
-    from .experiments import _connected_graph_from_mask, labeled_masks
-
+def _sweep_block(job) -> tuple[Counter, list[TheoremReport]]:
+    """Graphs per verdict, and failures, of one block of classes; a failing
+    class is rechecked on every relabelling."""
     n, classes, theorem_id, m = job
     run = CHECKS[theorem_id].run
-    counts = {HOLDS: 0, FAILS: 0, NOT_APPLICABLE: 0}
+    counts: Counter = Counter()
     failures: list[TheoremReport] = []
     for mask, weight in classes:
         report = run(_connected_graph_from_mask(n, mask), m)
@@ -321,8 +315,7 @@ def _sweep_block(job) -> tuple[int, int, int, int, list[TheoremReport]]:
             counts[report.verdict] += 1
             if report.verdict == FAILS:
                 failures.append(report)
-    graphs = sum(counts.values())
-    return graphs, counts[HOLDS], counts[FAILS], counts[NOT_APPLICABLE], failures
+    return counts, failures
 
 
 def sweep_theorem(theorem_id: str, n_max: int, threads: int = 1, m: int = 2) -> SweepSummary:
@@ -333,39 +326,27 @@ def sweep_theorem(theorem_id: str, n_max: int, threads: int = 1, m: int = 2) -> 
     the number of labeled graphs in it.  A class that fails is expanded:
     the checker runs again on each of its labeled graphs, and each is
     counted and reported on its own, so the counts, failures and
-    certificates are those of a sweep over every labeled graph.
+    certificates are those of a sweep over every labeled graph.  A sweep
+    whose n_max is below the checker's min_n would check nothing, and is
+    refused.
     """
-    from .experiments import _check_enum_n, _class_levels
-
     if theorem_id not in CHECKS:
         raise KeyError(f"unknown sweepable theorem {theorem_id!r}")
-    _check_enum_n(n_max)
-    if n_max > 7:
-        raise NTooLargeError(f"theorem sweeps capped at n=7, got {n_max}")
     if theorem_id == "product":
         _check_path_copies(m)
-    n_lo = CHECKS[theorem_id].min_n
-    totals = [0, 0, 0, 0]
+    total: Counter = Counter()
     per_n = []
     failures: list[TheoremReport] = []
-    n_values = [n for n in range(n_lo, n_max + 1)]
-    for n, classes in _class_levels(n_max):
-        if n < n_lo:
-            continue
-        jobs = [(n, block, theorem_id, m) for block in item_blocks(classes, threads)]
-        results = run_blocks(_sweep_block, jobs, threads)
-        counts = [0, 0, 0, 0]
-        for graphs, holds, fails, na, block_failures in results:
-            counts[0] += graphs
-            counts[1] += holds
-            counts[2] += fails
-            counts[3] += na
+    levels = class_sweep(_sweep_block, CHECKS[theorem_id].min_n, n_max, threads, theorem_id, m)
+    for n, blocks in levels:
+        counts: Counter = Counter()
+        for block_counts, block_failures in blocks:
+            counts.update(block_counts)
             failures.extend(block_failures)
-        per_n.append((n, *counts))
-        for i in range(4):
-            totals[i] += counts[i]
+        total.update(counts)
+        per_n.append((n, counts.total(), counts[HOLDS], counts[FAILS], counts[NOT_APPLICABLE]))
     failures.sort(key=lambda r: r.graph)
     return SweepSummary(
-        theorem_id, tuple(n_values), totals[0], totals[1], totals[2], totals[3],
-        tuple(failures), tuple(per_n),
+        theorem_id, tuple(n for n, *_ in per_n), total.total(), total[HOLDS], total[FAILS],
+        total[NOT_APPLICABLE], tuple(failures), tuple(per_n),
     )

@@ -200,7 +200,7 @@ def test_09_solver_equivalence():
     t0 = time.perf_counter()
     mismatches = []
     for n in range(1, 7):
-        mismatches.extend(equivalence_sweep(n, threads=1))
+        mismatches.extend(equivalence_sweep(n))
     dt = time.perf_counter() - t0
     ok = not mismatches and dt < 600.0
     detail = (f"optimized == reference on value and witness, n <= 6, in {dt:.1f}s"

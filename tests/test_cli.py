@@ -118,12 +118,36 @@ def test_exit_code_2_on_bad_params():
         # family ranges below 1
         ("verify", "fk", "--kmax", "0"),
         ("verify", "hk", "--kmax", "-2"),
+        # sweeps that would check nothing: n_max below the checker's smallest n
+        ("verify", "ncondition", "--sweep", "2"),
+        ("verify", "corollary", "--sweep", "2"),
+        ("verify", "degree_lemmas", "--sweep", "2"),
+        ("verify", "vertex_bound", "--sweep", "1"),
+        ("verify", "edge_bound", "--sweep", "1"),
+        ("verify", "join", "--sweep", "1"),
+        ("verify", "product", "--sweep", "1", "--m", "2"),
     ],
 )
 def test_exit_code_2_on_out_of_range_sweep_and_family(argv, capsys):
     assert main(list(argv)) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.extended
+def test_product_sweep_fails_at_n7(capsys):
+    # one class of 7!/2 labeled graphs, F~qP_, fails; see test_theorems
+    assert main(["verify", "product", "--sweep", "7", "--m", "2"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[5] == "n=7: 1866256 graphs, 1863736 holds, 2520 fails, 0 not_applicable"
+    assert lines[6] == (
+        'product\tF@U}w m=2\tfails\t{"edim_of_product": 4, "joint_k": 5, "m": 2, '
+        '"witness": [0, 1, 2, 3, 4, 7], "witness_generates": true}'
+    )
+    assert lines[-1] == (
+        "summary: 1893731 graphs, 1891211 holds, 2520 fails, 0 not_applicable (2520 FAILURES)"
+    )
+    assert len(lines) == 6 + 2520 + 1
 
 
 def test_memory_guard_refuses_before_any_distance_is_computed(monkeypatch, capsys):

@@ -4,6 +4,7 @@ from edimlab import (
     KOutOfRangeError,
     MTooSmallError,
     build_graph,
+    cartesian_path,
     check_corollary_diam_triangle,
     check_edge_count_bound,
     check_Fk_theorem,
@@ -14,9 +15,15 @@ from edimlab import (
     check_product_theorem,
     check_vertex_count_bound,
     construct_F,
+    edge_metric_dimension,
     enumerate_connected_graphs,
     full_edim_condition,
+    is_edge_generator,
     join_K1_predicate,
+    metric_dimension,
+    min_joint_cover,
+    parse_graph6,
+    product_upper_witness,
     sweep_theorem,
     write_graph6,
 )
@@ -113,6 +120,23 @@ def test_product_checker():
     assert check_product_theorem(complete(3), 2).verdict == HOLDS
     with pytest.raises(MTooSmallError):
         check_product_theorem(path(3), 1)
+
+
+def test_product_counterexample_to_the_minimum_bases_reading():
+    # The class whose 2520 relabellings fail the n = 7 product sweep: the
+    # joint cover over minimum bases has k = 5, yet edim(G x P_m) = 4.
+    g = parse_graph6("F~qP_")
+    assert (metric_dimension(g).value, edge_metric_dimension(g).value) == (2, 4)
+    assert min_joint_cover(g) == (5, ((4, 5), (1, 2, 4, 6)))
+    for m in (2, 3):
+        assert edge_metric_dimension(cartesian_path(g, m).graph).value == 4
+    witness = product_upper_witness(g, 2)
+    assert sorted(witness) == [1, 2, 4, 5, 6, 8]
+    assert is_edge_generator(cartesian_path(g, 2).graph, witness)
+    assert check_product_theorem(g, 2).to_record() == (
+        'product\tF~qP_ m=2\tfails\t{"edim_of_product": 4, "joint_k": 5, "m": 2, '
+        '"witness": [1, 2, 4, 5, 6, 8], "witness_generates": true}'
+    )
 
 
 def test_reports_carry_graph_id_and_record_shape():
