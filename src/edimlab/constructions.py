@@ -76,10 +76,15 @@ def join(g1: Graph, g2: Graph) -> Graph:
     return _graph_from_edges(n, tuple(edges))
 
 
-def cartesian_path(g: Graph, m: int) -> LabeledConstruction:
-    """Cartesian product of g with a path on m copies (m >= 2)."""
+def _check_path_copies(m) -> None:
+    """The one check of the path-copy count m that products take."""
     if not isinstance(m, int) or m < 2:
         raise MTooSmallError(f"need at least 2 path copies, got {m!r}")
+
+
+def cartesian_path(g: Graph, m: int) -> LabeledConstruction:
+    """Cartesian product of g with a path on m copies (m >= 2)."""
+    _check_path_copies(m)
     n = g.n
     total = n * m
     if total > MAX_VERTICES:
@@ -100,8 +105,7 @@ def product_upper_witness(g: Graph, m: int) -> set[int]:
 
     Built by `witness_from_joint_cover` from the joint-cover witness pair.
     """
-    if not isinstance(m, int) or m < 2:
-        raise MTooSmallError(f"need at least 2 path copies, got {m!r}")
+    _check_path_copies(m)
     if g.m == 0:
         raise NoEdgesError("product witness requires at least one edge")
     return witness_from_joint_cover(g, m, min_joint_cover(g)[1])

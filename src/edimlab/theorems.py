@@ -18,8 +18,15 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from math import comb
 
-from .constructions import cartesian_path, construct_F, construct_H, join, witness_from_joint_cover
-from .errors import DisconnectedError, KOutOfRangeError, MTooSmallError, NoEdgesError
+from .constructions import (
+    _check_path_copies,
+    cartesian_path,
+    construct_F,
+    construct_H,
+    join,
+    witness_from_joint_cover,
+)
+from .errors import DisconnectedError, KOutOfRangeError, NoEdgesError
 from .experiments import _connected_graph_from_mask, class_sweep, labeled_masks
 from .formats import write_graph6
 from .graph import Graph, bits_of, build_graph, diameter, is_connected, max_degree
@@ -234,11 +241,6 @@ def check_join_K1_theorem(g: Graph, graph_id: str | None = None) -> TheoremRepor
         "join", gid, FAILS,
         {"n": g.n, "predicate": predicate, "edim_of_join": edim, "expected": expected},
     )
-
-
-def _check_path_copies(m) -> None:
-    if not isinstance(m, int) or m < 2:
-        raise MTooSmallError(f"need at least 2 path copies, got {m!r}")
 
 
 def check_product_theorem(g: Graph, m: int, graph_id: str | None = None) -> TheoremReport:

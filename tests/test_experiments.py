@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -20,7 +21,7 @@ from edimlab import (
     survey_triples,
     write_graph6,
 )
-from edimlab.experiments import _class_levels
+from edimlab.experiments import _automorphisms, _class_levels, _graph_of_mask
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
 
@@ -63,8 +64,8 @@ def test_enumeration_streams_ascending_distinct_graphs():
 
 
 # connected graphs on n vertices: up to isomorphism (OEIS A001349) and labeled (A001187)
-A001349 = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
-A001187 = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
+A001349 = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+A001187 = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256, 8: 251548592}
 
 
 def _mask_of(n, edges):
@@ -92,6 +93,48 @@ def test_class_counts_and_weights_match_oeis():
         masks = [mask for mask, _ in classes]
         assert masks == sorted(set(masks))
     assert connected_classes(5) == list(_class_levels(5))[-1][1]
+
+
+@pytest.mark.extended
+def test_classes_at_n8_match_oeis():
+    classes = connected_classes(8)
+    assert len(classes) == A001349[8]
+    assert sum(weight for _, weight in classes) == A001187[8]
+    masks = [mask for mask, _ in classes]
+    assert all(a < b for a, b in zip(masks, masks[1:]))
+
+
+def _unpruned_class_levels(n_max):
+    """Reference: every non-empty neighbourhood of a new vertex, for every parent."""
+    level = [(0, 1)]
+    yield 1, level
+    for n in range(2, n_max + 1):
+        auts = {}
+        new = 1 << (n - 1)
+        for parent, _ in level:
+            adj = [*_graph_of_mask(n - 1, parent).adj_bits, 0]
+            for nbrs in range(1, new):
+                child = [a | new if nbrs >> v & 1 else a for v, a in enumerate(adj)]
+                child[-1] = nbrs
+                mask, aut = canonical_mask(n, child)
+                auts[mask] = aut
+        level = [(mask, factorial(n) // auts[mask]) for mask in sorted(auts)]
+        yield n, level
+
+
+def test_pruned_class_levels_equal_the_unpruned_loop():
+    assert list(_class_levels(6)) == list(_unpruned_class_levels(6))
+
+
+def test_automorphisms_are_the_permutations_fixing_the_graph():
+    for n, classes in _class_levels(6):
+        for mask, _ in classes:
+            g = _graph_of_mask(n, mask)
+            relabelled = zip(permutations(range(n)), _relabelled_masks(n, g.edges))
+            fixing = {p for p, image in relabelled if image == mask}
+            auts = _automorphisms(g.adj_bits)
+            assert len(auts) == len(fixing) == canonical_mask(n, g.adj_bits)[1]
+            assert set(auts) == fixing
 
 
 def test_classes_match_the_networkx_atlas():
