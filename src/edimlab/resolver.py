@@ -23,6 +23,15 @@ witness and all its items are the bases, so the answers do not depend on
 which search found the value.  Suffix unions of the bitsets prune scan
 subtrees that cannot cover the remaining pairs.
 
+Minimal separator sets: when the branch-and-bound runs, it and the scans at
+the optimum work over the distinct inclusion-minimal separator sets instead
+of over all pairs (a dense 22-vertex edim solve has about 6400 pairs but
+about 420 such sets).  The answers cannot change: S covers every pair iff S
+meets every pair's separator set, iff S meets every inclusion-minimal one,
+since each separator set contains a minimal one.  So the covers of each
+size are the same family, listed by the same generator in the same order,
+and the value, the witness and the bases are those of the full instance.
+
 The bitsets take landmarks x C(objects, 2) bits; a solve that would need
 more than MAX_PAIR_BITS raises NTooLargeError before it computes anything.
 """
@@ -176,33 +185,85 @@ def _covers(bits: list[int], suffix: list[int], universe: int, size: int):
             return
 
 
-def _branch_and_bound_size(bits: list[int], universe: int, rows, n_obj: int, upper: int) -> int:
+def _separator_counts(bits: list[int]) -> list[int]:
+    """Bit-sliced count, per pair, of the landmarks whose bitsets hold it.
+
+    Slice k holds bit k of every pair's count, so the counts of all pairs
+    are kept in len(bits).bit_length() big integers.
+    """
+    counts = [0] * len(bits).bit_length()
+    for b in bits:
+        for k, s in enumerate(counts):
+            counts[k] = s ^ b
+            b &= s
+            if not b:
+                break
+    return counts
+
+
+def _suffix_unions(bits: list[int]) -> list[int]:
+    suffix = [0] * (len(bits) + 1)
+    for i in range(len(bits) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | bits[i]
+    return suffix
+
+
+def _minimal_separators(bits: list[int], universe: int, rows, n_obj: int) -> tuple[list[int], list[int]]:
+    """The distinct inclusion-minimal separator sets, and bitsets over them.
+
+    Returns (kept, reduced): kept[k] is a landmark mask, and bit k of
+    reduced[v] is set iff landmark v is in kept[k].  Pairs are taken in
+    ascending order of their separator count; each pair still standing
+    keeps its separator set, read from the distance columns, and strikes
+    every pair whose separators contain it (the AND of its landmarks'
+    bitsets), duplicates included.  A pair with fewer separators came
+    earlier, so every kept set is minimal.
+    """
+    off = _pair_offsets(n_obj)
+    cols = list(zip(*rows))
+    landmarks = range(len(bits))
+    counts = _separator_counts(bits)
+    kept: list[int] = []
+    alive = universe
+    c = 0
+    while alive:
+        c += 1
+        # pairs with exactly c separators
+        cls = alive
+        for k, s in enumerate(counts):
+            cls &= s if c >> k & 1 else universe ^ s
+        while cls:
+            p = cls.bit_length() - 1
+            i = bisect_right(off, p) - 1
+            ci, cj = cols[i], cols[p - off[i] + i + 1]
+            sep = 0
+            struck = universe
+            for v in landmarks:
+                if ci[v] != cj[v]:
+                    sep |= 1 << v
+                    struck &= bits[v]
+            kept.append(sep)
+            alive ^= alive & struck
+            cls ^= cls & struck
+    reduced = [0] * len(bits)
+    for k, sep in enumerate(kept):
+        while sep:
+            low = sep & -sep
+            sep ^= low
+            reduced[low.bit_length() - 1] |= 1 << k
+    return kept, reduced
+
+
+def _branch_and_bound_size(bits: list[int], universe: int, seps: list[int], upper: int) -> int:
     """Fewest landmarks whose bitsets cover `universe`, given a cover of size `upper`.
 
+    seps[p] is the mask of the landmarks whose bitsets hold pair p.
     Depth-first over uncovered pairs: each node branches on a pair with the
     fewest allowed separating landmarks, and child t takes the t-th of them
     while the earlier ones stay forbidden in it and below.  A node is cut
     when its chosen count plus a greedy packing of uncovered pairs with
     pairwise disjoint allowed separators reaches the best size found.
     """
-    off = _pair_offsets(n_obj)
-    cols = list(zip(*rows))
-    landmarks = range(len(bits))
-    separators: dict[int, int] = {}
-
-    def separating(p: int) -> int:
-        # mask of the landmarks that separate pair p, from the distance columns
-        got = separators.get(p)
-        if got is None:
-            i = bisect_right(off, p) - 1
-            ci, cj = cols[i], cols[p - off[i] + i + 1]
-            got = 0
-            for v in landmarks:
-                if ci[v] != cj[v]:
-                    got |= 1 << v
-            separators[p] = got
-        return got
-
     # complements within the universe: `x & ~b` on big ints costs several
     # times `x & c`, and so does `x & -x`, so pairs are picked by top bit
     outside = [universe ^ b for b in bits]
@@ -210,14 +271,14 @@ def _branch_and_bound_size(bits: list[int], universe: int, rows, n_obj: int, upp
 
     def rec(unc: int, size: int, allowed: int, counts: list[int]) -> None:
         # counts: bit-sliced count, per uncovered pair, of the allowed
-        # landmarks separating it (slice k holds bit k of every count)
+        # landmarks separating it (see _separator_counts)
         nonlocal best
         fewest = unc
         for s in reversed(counts):
             t = fewest ^ (fewest & s)
             if t:
                 fewest = t
-        branch = separating(fewest.bit_length() - 1) & allowed
+        branch = seps[fewest.bit_length() - 1] & allowed
         if not branch:
             return
         # disjoint packing: every packed pair needs a landmark of its own
@@ -232,7 +293,7 @@ def _branch_and_bound_size(bits: list[int], universe: int, rows, n_obj: int, upp
             if not left or bound >= best:
                 break
             pick = left & fewest or left
-            hits = separating(pick.bit_length() - 1) & allowed
+            hits = seps[pick.bit_length() - 1] & allowed
             bound += 1
         if bound >= best:
             return
@@ -261,16 +322,9 @@ def _branch_and_bound_size(bits: list[int], universe: int, rows, n_obj: int, upp
                 if not borrow:
                     break
 
-    counts = [0] * len(bits).bit_length()
-    for b in bits:
-        for k, s in enumerate(counts):
-            counts[k] = s ^ b
-            b &= s
-            if not b:
-                break
-    rec(universe, 0, (1 << len(bits)) - 1, counts)
+    rec(universe, 0, (1 << len(bits)) - 1, _separator_counts(bits))
     # rec refers to itself through its closure; break that cycle so the
-    # memo and bitsets are freed now, not at some later full collection
+    # bitsets are freed now, not at some later full collection
     rec = None
     return best
 
@@ -288,16 +342,17 @@ def _minimum_cover(rows, n_obj: int, want_all: bool) -> DimensionResult:
     bits, universe = _distinguishing_bitsets(rows, n_obj)
     if universe == 0:
         return DimensionResult(0, (), ((),) if want_all else None)
-    n = len(bits)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | bits[i]
+    suffix = _suffix_unions(bits)
     if suffix[0] != universe:
         raise AssertionError("landmark bitsets cannot cover the pair universe")
     opt = _greedy_cover_size(bits, universe)
     witness = None
-    if comb(n, opt - 1) >= BRANCH_AND_BOUND_MIN_SUBSETS:
-        opt = _branch_and_bound_size(bits, universe, rows, n_obj, opt)
+    if comb(len(bits), opt - 1) >= BRANCH_AND_BOUND_MIN_SUBSETS:
+        # the same covers, over the minimal separator sets instead of all pairs
+        seps, bits = _minimal_separators(bits, universe, rows, n_obj)
+        universe = (1 << len(seps)) - 1
+        suffix = _suffix_unions(bits)
+        opt = _branch_and_bound_size(bits, universe, seps, opt)
     else:
         # generator existence is monotone in size: refute sizes downward
         while opt > 1 and (found := next(_covers(bits, suffix, universe, opt - 1), None)):

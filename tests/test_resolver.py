@@ -10,6 +10,7 @@ from edimlab import (
     NotAnEdgeError,
     all_pairs_distances,
     build_graph,
+    cartesian_path,
     construct_F,
     edge_metric_dimension,
     edge_signature,
@@ -165,8 +166,8 @@ def bnb_calls(monkeypatch):
     calls = []
     real = resolver._branch_and_bound_size
 
-    def spy(bits, universe, rows, n_obj, upper):
-        calls.append((upper, real(bits, universe, rows, n_obj, upper)))
+    def spy(bits, universe, seps, upper):
+        calls.append((upper, real(bits, universe, seps, upper)))
         return calls[-1][1]
 
     monkeypatch.setattr(resolver, "_branch_and_bound_size", spy)
@@ -200,6 +201,57 @@ def test_search_path_is_chosen_from_the_input(bnb_calls):
     res = edge_metric_dimension(g)
     assert len(bnb_calls) == 1
     assert is_edge_generator(g, res.witness) and len(res.witness) == res.value
+    # the 12-vertex products G □ P_2 of n = 6 graphs stay on the scans too
+    del bnb_calls[:]
+    edge_metric_dimension(cartesian_path(complete(6), 2).graph)
+    assert bnb_calls == []
+
+
+def _separator_sets(g):
+    """Per kind, the separator set of every object pair, from oracle distances."""
+    dist = bfs_oracle(g)
+    objects = {"dim": [(x,) for x in range(g.n)], "edim": list(g.edges)}
+    return {
+        kind: [
+            frozenset(v for v in range(g.n) if min(dist[v][x] for x in a) != min(dist[v][x] for x in b))
+            for i, a in enumerate(objs) for b in objs[i + 1:]
+        ]
+        for kind, objs in objects.items()
+    }
+
+
+def test_minimal_separators_are_the_inclusion_minimal_sets():
+    rng = random.Random(8)
+    for n in range(7, 13):
+        for p in (0.3, 0.6):
+            g = _gnp_connected(rng, n, p)
+            d = all_pairs_distances(g).d
+            rows = {"dim": d, "edim": [[min(r[x], r[y]) for x, y in g.edges] for r in d]}
+            for kind, seps in _separator_sets(g).items():
+                n_obj = len(rows[kind][0])
+                bits, universe = resolver._distinguishing_bitsets(rows[kind], n_obj)
+                kept, reduced = resolver._minimal_separators(bits, universe, rows[kind], n_obj)
+                got = [frozenset(v for v in range(n) if sep >> v & 1) for sep in kept]
+                distinct = set(seps)
+                assert len(got) == len(set(got))
+                assert set(got) == {s for s in distinct if not any(t < s for t in distinct)}
+                assert reduced == [sum(1 << k for k, s in enumerate(got) if v in s) for v in range(n)]
+
+
+@pytest.mark.parametrize(
+    "n, p, value, witness",
+    [
+        (28, 0.5, 13, (0, 1, 7, 10, 13, 14, 17, 18, 19, 23, 25, 26, 27)),
+        (40, 0.2, 9, (0, 2, 4, 7, 8, 11, 13, 24, 33)),
+        pytest.param(
+            32, 0.5, 13, (1, 2, 3, 5, 7, 8, 9, 19, 20, 22, 23, 25, 31), marks=pytest.mark.extended
+        ),
+    ],
+)
+def test_larger_random_graphs(n, p, value, witness):
+    # the graphs of perfbench/gen.gnp_connected(random.Random(1), n, p)
+    res = edge_metric_dimension(_gnp_connected(random.Random(1), n, p))
+    assert (res.value, res.witness) == (value, witness)
 
 
 def _milp_value(n, separators):
@@ -217,20 +269,14 @@ def _milp_value(n, separators):
     return round(res.fun)
 
 
-@pytest.mark.parametrize("n, p, seed", [(12, 0.5, 1), (14, 0.3, 2), (16, 0.5, 3), (18, 0.5, 4)])
+@pytest.mark.parametrize(
+    "n, p, seed",
+    [(12, 0.5, 1), (14, 0.3, 2), (16, 0.5, 3), (18, 0.5, 4), (22, 0.5, 5), (24, 0.5, 6)],
+)
 def test_values_match_integer_programming(monkeypatch, n, p, seed):
     g = _gnp_connected(random.Random(seed), n, p)
-    dist = bfs_oracle(g)
-    objects = {
-        "dim": [(x,) for x in range(n)],
-        "edim": list(g.edges),
-    }
     solvers = {"dim": metric_dimension, "edim": edge_metric_dimension}
-    for kind, objs in objects.items():
-        seps = [
-            {v for v in range(n) if min(dist[v][x] for x in a) != min(dist[v][x] for x in b)}
-            for i, a in enumerate(objs) for b in objs[i + 1:]
-        ]
+    for kind, seps in _separator_sets(g).items():
         want = _milp_value(n, seps)
         assert solvers[kind](g).value == want
         with monkeypatch.context() as m:
