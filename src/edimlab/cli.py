@@ -76,9 +76,11 @@ def _parse_spec(spec: str) -> Graph:
 
 
 def _load_input(args) -> Graph:
-    if getattr(args, "construct", None):
+    if args.construct and args.input:
+        raise BadParamsError(f"input file {args.input!r} and --construct are two graphs; give one")
+    if args.construct:
         return _graph_of(_build_from_tokens(args.construct))
-    if getattr(args, "input", None):
+    if args.input:
         return _read_graph_file(args.input, args.format)
     raise BadParamsError("provide an input file or --construct")
 
@@ -176,6 +178,9 @@ def _verify_single(reports, report_path) -> int:
 
 def cmd_verify(args) -> int:
     theorem = args.theorem
+    given = [f"--{a}" for a in ("graph", "g", "sweep", "kmax") if getattr(args, a) is not None]
+    if len(given) > 1:
+        raise BadParamsError(f"{given[0]} and {given[1]} are two inputs to check; give one")
     if theorem in ("fk", "hk"):
         if args.kmax is None or args.kmax < 1:
             raise BadParamsError(f"{theorem} needs --kmax of at least 1")
@@ -282,6 +287,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise BadParamsError(f"--threads must be at least 1, got {args.threads}")
         return args.fn(args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -80,24 +80,22 @@ def edge_signature(dm: DistanceMatrix, e: tuple[int, int], landmarks) -> tuple[i
     return tuple(min(dx[v], dy[v]) for v in landmarks)
 
 
-def is_vertex_generator(g: Graph, s) -> bool:
-    """True when the vertices of g have pairwise distinct signatures over s."""
+def _is_generator(g: Graph, s, objects, signature) -> bool:
     if not is_connected(g):
         raise DisconnectedError("generator check requires a connected graph")
     dm = all_pairs_distances(g)
     order = sorted(s)
-    sigs = {vertex_signature(dm, x, order) for x in range(g.n)}
-    return len(sigs) == g.n
+    return len({signature(dm, o, order) for o in objects}) == len(objects)
+
+
+def is_vertex_generator(g: Graph, s) -> bool:
+    """True when the vertices of g have pairwise distinct signatures over s."""
+    return _is_generator(g, s, range(g.n), vertex_signature)
 
 
 def is_edge_generator(g: Graph, s) -> bool:
     """True when the edges of g have pairwise distinct signatures over s."""
-    if not is_connected(g):
-        raise DisconnectedError("generator check requires a connected graph")
-    dm = all_pairs_distances(g)
-    order = sorted(s)
-    sigs = {edge_signature(dm, e, order) for e in g.edges}
-    return len(sigs) == g.m
+    return _is_generator(g, s, g.edges, edge_signature)
 
 
 def _pair_offsets(n_obj: int) -> list[int]:
@@ -341,6 +339,7 @@ def _check_pair_bits(landmarks: int, objects: int) -> None:
 def _minimum_cover(rows, n_obj: int, want_all: bool) -> DimensionResult:
     bits, universe = _distinguishing_bitsets(rows, n_obj)
     if universe == 0:
+        # no pair to separate (one vertex, or at most one edge): the empty set
         return DimensionResult(0, (), ((),) if want_all else None)
     suffix = _suffix_unions(bits)
     if suffix[0] != universe:
@@ -367,8 +366,6 @@ def metric_dimension(g: Graph, want_all_bases: bool = False) -> DimensionResult:
     """Minimum vertex set with pairwise distinct vertex signatures."""
     if not is_connected(g):
         raise DisconnectedError("metric dimension requires a connected graph")
-    if g.n == 1:
-        return DimensionResult(0, (), ((),) if want_all_bases else None)
     _check_pair_bits(g.n, g.n)
     dm = all_pairs_distances(g)
     return _minimum_cover(dm.d, g.n, want_all_bases)
@@ -378,8 +375,6 @@ def edge_metric_dimension(g: Graph, want_all_bases: bool = False) -> DimensionRe
     """Minimum vertex set with pairwise distinct edge signatures."""
     if not is_connected(g):
         raise DisconnectedError("edge metric dimension requires a connected graph")
-    if g.m <= 1:
-        return DimensionResult(0, (), ((),) if want_all_bases else None)
     _check_pair_bits(g.n, g.m)
     dm = all_pairs_distances(g)
     edges = g.edges

@@ -26,7 +26,7 @@ from .constructions import (
     join,
     witness_from_joint_cover,
 )
-from .errors import DisconnectedError, KOutOfRangeError, NoEdgesError
+from .errors import DisconnectedError, KOutOfRangeError
 from .experiments import _connected_graph_from_mask, class_sweep, labeled_masks
 from .formats import write_graph6
 from .graph import Graph, bits_of, build_graph, diameter, is_connected, max_degree
@@ -51,8 +51,11 @@ class TheoremReport:
         return f"{self.theorem_id}\t{self.graph}\t{self.verdict}\t{cert}"
 
 
-def _graph_id(g: Graph, graph_id: str | None) -> str:
-    return graph_id if graph_id is not None else write_graph6(g)
+def _graph_id(g: Graph) -> str:
+    """g's graph6, by which a check reports it; a disconnected g is refused."""
+    if not is_connected(g):
+        raise DisconnectedError("theorem checks require a connected graph")
+    return write_graph6(g)
 
 
 def full_edim_condition(g: Graph) -> tuple[bool, tuple[int, int] | None]:
@@ -85,9 +88,9 @@ def _na(theorem_id: str, gid: str, reason: str, **extra) -> TheoremReport:
     return TheoremReport(theorem_id, gid, NOT_APPLICABLE, cert)
 
 
-def check_ncondition_theorem(g: Graph, graph_id: str | None = None) -> TheoremReport:
+def check_ncondition_theorem(g: Graph) -> TheoremReport:
     """edim = n-1 exactly when every vertex pair has a hub neighbour."""
-    gid = _graph_id(g, graph_id)
+    gid = _graph_id(g)
     if g.n < 2 or g.m < 2:
         return _na("ncondition", gid, "needs n >= 2 and at least 2 edges", n=g.n, m=g.m)
     edim = edge_metric_dimension(g).value
@@ -100,9 +103,9 @@ def check_ncondition_theorem(g: Graph, graph_id: str | None = None) -> TheoremRe
     return TheoremReport("ncondition", gid, FAILS, cert)
 
 
-def check_corollary_diam_triangle(g: Graph, graph_id: str | None = None) -> TheoremReport:
+def check_corollary_diam_triangle(g: Graph) -> TheoremReport:
     """edim = n-1 forces diameter <= 2 and every edge inside a triangle."""
-    gid = _graph_id(g, graph_id)
+    gid = _graph_id(g)
     if g.n < 2 or g.m < 2:
         return _na("corollary", gid, "needs n >= 2 and at least 2 edges", n=g.n, m=g.m)
     edim = edge_metric_dimension(g).value
@@ -122,9 +125,9 @@ def check_corollary_diam_triangle(g: Graph, graph_id: str | None = None) -> Theo
     return TheoremReport("corollary", gid, HOLDS)
 
 
-def check_vertex_count_bound(g: Graph, graph_id: str | None = None) -> TheoremReport:
+def check_vertex_count_bound(g: Graph) -> TheoremReport:
     """n <= dim + diameter^dim."""
-    gid = _graph_id(g, graph_id)
+    gid = _graph_id(g)
     if g.n < 2:
         return _na("vertex_bound", gid, "needs n >= 2", n=g.n)
     dim = metric_dimension(g).value
@@ -138,9 +141,9 @@ def check_vertex_count_bound(g: Graph, graph_id: str | None = None) -> TheoremRe
     )
 
 
-def check_edge_count_bound(g: Graph, graph_id: str | None = None) -> TheoremReport:
+def check_edge_count_bound(g: Graph) -> TheoremReport:
     """m <= C(k, 2) + k * diameter^(k-1) + diameter^k with k = edim."""
-    gid = _graph_id(g, graph_id)
+    gid = _graph_id(g)
     if g.m < 1:
         return _na("edge_bound", gid, "needs at least one edge", m=g.m)
     k = edge_metric_dimension(g).value
@@ -154,21 +157,16 @@ def check_edge_count_bound(g: Graph, graph_id: str | None = None) -> TheoremRepo
     )
 
 
-def check_max_degree_lemmas(g: Graph, graph_id: str | None = None) -> TheoremReport:
+def check_max_degree_lemmas(g: Graph) -> TheoremReport:
     """A universal vertex forces edim >= n-2; two universal vertices force edim = n-1."""
-    gid = _graph_id(g, graph_id)
+    gid = _graph_id(g)
     if g.n < 3:
         return _na("degree_lemmas", gid, "needs n >= 3", n=g.n)
     if max_degree(g) < g.n - 1:
         return TheoremReport("degree_lemmas", gid, HOLDS)
     edim = edge_metric_dimension(g).value
     universal = sum(1 for row in g.adjacency if len(row) == g.n - 1)
-    if edim not in (g.n - 1, g.n - 2):
-        return TheoremReport(
-            "degree_lemmas", gid, FAILS,
-            {"n": g.n, "edim": edim, "universal_vertices": universal},
-        )
-    if universal >= 2 and edim != g.n - 1:
+    if edim not in (g.n - 1, g.n - 2) or (universal >= 2 and edim != g.n - 1):
         return TheoremReport(
             "degree_lemmas", gid, FAILS,
             {"n": g.n, "edim": edim, "universal_vertices": universal},
@@ -224,13 +222,11 @@ def join_K1_predicate(g: Graph) -> bool:
     return True
 
 
-def check_join_K1_theorem(g: Graph, graph_id: str | None = None) -> TheoremReport:
+def check_join_K1_theorem(g: Graph) -> TheoremReport:
     """edim(g + K_1) is n when the neighbourhood-cover predicate holds, else n-1."""
-    gid = _graph_id(g, graph_id)
+    gid = _graph_id(g)
     if g.n < 2:
         return _na("join", gid, "needs n >= 2", n=g.n)
-    if not is_connected(g):
-        raise DisconnectedError("join theorem requires a connected graph")
     predicate = join_K1_predicate(g)
     joined = join(g, build_graph(1, []))
     edim = edge_metric_dimension(joined).value
@@ -243,13 +239,11 @@ def check_join_K1_theorem(g: Graph, graph_id: str | None = None) -> TheoremRepor
     )
 
 
-def check_product_theorem(g: Graph, m: int, graph_id: str | None = None) -> TheoremReport:
+def check_product_theorem(g: Graph, m: int) -> TheoremReport:
     """k <= edim(g x P_m) <= k+1 for the joint-cover number k, with the
     constructed upper witness actually generating."""
     _check_path_copies(m)
-    gid = f"{_graph_id(g, graph_id)} m={m}"
-    if g.m == 0:
-        raise NoEdgesError("product theorem requires at least one edge")
+    gid = f"{_graph_id(g)} m={m}"
     k, cover = min_joint_cover(g)
     product = cartesian_path(g, m).graph
     edim = edge_metric_dimension(product).value

@@ -126,6 +126,9 @@ def test_exit_code_2_on_bad_params():
         ("verify", "edge_bound", "--sweep", "1"),
         ("verify", "join", "--sweep", "1"),
         ("verify", "product", "--sweep", "1", "--m", "2"),
+        # worker counts below 1, for a sweep and for a census
+        ("--threads", "0", "verify", "ncondition", "--sweep", "3"),
+        ("--threads", "-3", "survey", "3"),
     ],
 )
 def test_exit_code_2_on_out_of_range_sweep_and_family(argv, capsys):
@@ -169,6 +172,34 @@ def test_exit_code_3_on_disconnected_input(tmp_path):
     f.write_text("4 2\n0 1\n2 3\n")
     proc = run_cli("compute", "dim", str(f))
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize("theorem", ["ncondition", "corollary", "vertex_bound", "edge_bound",
+                                     "degree_lemmas", "join", "product"])
+@pytest.mark.parametrize("text", ["3 1\n0 1\n", "2 0\n", "5 4\n0 1\n1 2\n0 2\n3 4\n"],
+                         ids=["P2+K1", "2K1", "K3+K2"])
+def test_verify_exits_3_on_a_disconnected_graph(tmp_path, capsys, theorem, text):
+    f = tmp_path / "disc.el"
+    f.write_text(text)
+    assert main(["verify", theorem, "--graph", str(f), "--m", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "connected" in err
+
+
+@pytest.mark.parametrize(
+    "argv, sources",
+    [
+        (("compute", "dim", "{file}", "--construct", "path", "5"), ("input file", "--construct")),
+        (("verify", "ncondition", "--graph", "{file}", "--g", "path:5"), ("--graph", "--g")),
+        (("verify", "ncondition", "--g", "path:5", "--sweep", "3"), ("--g", "--sweep")),
+        (("verify", "fk", "--kmax", "1", "--sweep", "3"), ("--sweep", "--kmax")),
+    ],
+)
+def test_exit_code_2_on_two_graph_sources(p5_file, capsys, argv, sources):
+    assert main([a.format(file=p5_file) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+    assert all(source in err for source in sources)
 
 
 def test_construct_writes_graph_and_labels(tmp_path):
@@ -249,7 +280,7 @@ def test_verify_exit_code_4_on_failure(monkeypatch, capsys):
 
     monkeypatch.setattr(
         theorems, "check_ncondition_theorem",
-        lambda g, graph_id=None: TheoremReport("ncondition", "stub", "fails", {"n": g.n}),
+        lambda g: TheoremReport("ncondition", "stub", "fails", {"n": g.n}),
     )
     code = main(["verify", "ncondition", "--g", "path:3"])
     assert code == 4

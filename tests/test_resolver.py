@@ -73,6 +73,8 @@ def test_degenerate_conventions():
     k1 = build_graph(1, [])
     res = metric_dimension(k1, want_all_bases=True)
     assert (res.value, res.witness, res.all_bases) == (0, (), ((),))
+    res = edge_metric_dimension(k1, want_all_bases=True)  # m = 0
+    assert (res.value, res.witness, res.all_bases) == (0, (), ((),))
     p2 = path(2)
     res = edge_metric_dimension(p2, want_all_bases=True)
     assert (res.value, res.witness, res.all_bases) == (0, (), ((),))

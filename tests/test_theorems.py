@@ -1,8 +1,10 @@
 import pytest
 
 from edimlab import (
+    DisconnectedError,
     KOutOfRangeError,
     MTooSmallError,
+    NoEdgesError,
     build_graph,
     cartesian_path,
     check_corollary_diam_triangle,
@@ -120,6 +122,8 @@ def test_product_checker():
     assert check_product_theorem(complete(3), 2).verdict == HOLDS
     with pytest.raises(MTooSmallError):
         check_product_theorem(path(3), 1)
+    with pytest.raises(NoEdgesError):
+        check_product_theorem(build_graph(1, []), 2)
 
 
 def test_product_counterexample_to_the_minimum_bases_reading():
@@ -140,11 +144,26 @@ def test_product_counterexample_to_the_minimum_bases_reading():
 
 
 def test_reports_carry_graph_id_and_record_shape():
-    report = check_ncondition_theorem(complete(4), graph_id="K_4")
-    assert report.graph == "K_4"
-    assert report.to_record() == "ncondition\tK_4\tholds\t{}"
+    report = check_ncondition_theorem(complete(4))
+    assert report.graph == "C~"
+    assert report.to_record() == "ncondition\tC~\tholds\t{}"
     na = check_ncondition_theorem(path(2))
     assert "reason" in na.certificate
+
+
+# small disconnected graphs, some below a checker's smallest n or edge count
+DISCONNECTED = [
+    build_graph(3, [(0, 1)]),
+    build_graph(2, []),
+    build_graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+]
+
+
+@pytest.mark.parametrize("theorem_id", sorted(theorems.CHECKS))
+@pytest.mark.parametrize("g", DISCONNECTED, ids=["P2+K1", "2K1", "K3+K2"])
+def test_every_check_refuses_a_disconnected_graph(theorem_id, g):
+    with pytest.raises(DisconnectedError):
+        theorems.CHECKS[theorem_id].run(g, 2)
 
 
 def test_small_sweeps_all_hold():
@@ -164,7 +183,7 @@ def test_sweep_counts_are_deterministic_across_threads():
     assert a == b
 
 
-def _fake_vertex_bound(g, graph_id=None):
+def _fake_vertex_bound(g):
     """Fails on unicyclic graphs (m = n) with a labelling-dependent certificate;
     trees are not applicable; everything else holds."""
     gid = write_graph6(g)
