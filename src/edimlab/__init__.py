@@ -44,6 +44,7 @@ from .graph import (
     DistanceMatrix,
     Graph,
     all_pairs_distances,
+    bfs_levels,
     build_graph,
     diameter,
     edge_vertex_distance,

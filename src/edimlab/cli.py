@@ -75,13 +75,22 @@ def _parse_spec(spec: str) -> Graph:
     raise BadParamsError(f"graph spec {spec!r} is neither 'family:params' nor an existing file")
 
 
+def _refuse_unread(args, what: str, options) -> None:
+    """Exit 2 on an option that `what` does not read, rather than ignore it."""
+    for opt in options:
+        value = getattr(args, opt.replace("-", "_"))
+        if value is not None and value is not False:
+            raise BadParamsError(f"{what} does not read --{opt}")
+
+
 def _load_input(args) -> Graph:
     if args.construct and args.input:
         raise BadParamsError(f"input file {args.input!r} and --construct are two graphs; give one")
     if args.construct:
+        _refuse_unread(args, "compute --construct", ("format",))
         return _graph_of(_build_from_tokens(args.construct))
     if args.input:
-        return _read_graph_file(args.input, args.format)
+        return _read_graph_file(args.input, args.format or "auto")
     raise BadParamsError("provide an input file or --construct")
 
 
@@ -105,6 +114,8 @@ def _write_manifest(out_path: Path, command: list[str], outputs: list[Path]) -> 
 
 
 def cmd_compute(args) -> int:
+    if args.kind == "joint":
+        _refuse_unread(args, "compute joint", ("all-bases",))
     g = _load_input(args)
     want_all = args.all_bases
     lines = []
@@ -126,6 +137,10 @@ def cmd_compute(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    reads = {"prod": ("g", "m"), "join": ("g1", "g2")}.get(args.what, ())
+    _refuse_unread(args, f"construct {args.what}", [o for o in ("g", "g1", "g2", "m") if o not in reads])
+    if reads and args.params:
+        raise BadParamsError(f"construct {args.what} takes no positional parameters, got {args.params}")
     if args.what == "prod":
         if not args.g or args.m is None:
             raise BadParamsError("prod needs --g SPEC and --m M")
@@ -178,6 +193,8 @@ def _verify_single(reports, report_path) -> int:
 
 def cmd_verify(args) -> int:
     theorem = args.theorem
+    if theorem != "product":
+        _refuse_unread(args, f"verify {theorem}", ("m",))
     given = [f"--{a}" for a in ("graph", "g", "sweep", "kmax") if getattr(args, a) is not None]
     if len(given) > 1:
         raise BadParamsError(f"{given[0]} and {given[1]} are two inputs to check; give one")
@@ -251,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--construct", nargs="+", metavar="TOKEN",
                    help="inline construction, e.g. --construct F 2")
     c.add_argument("--all-bases", action="store_true")
-    c.add_argument("--format", choices=["auto", "edgelist", "graph6"], default="auto")
+    c.add_argument("--format", choices=["auto", "edgelist", "graph6"],
+                   help="input file format (default: auto)")
     c.set_defaults(fn=cmd_compute)
 
     b = sub.add_parser("construct", help="build a named graph and write it out")

@@ -32,7 +32,7 @@ from ._par import item_blocks, run_blocks
 from .errors import BadParamsError, NTooLargeError
 from .formats import write_graph6
 from .graph import Graph, _graph_from_edges, is_connected
-from .resolver import edge_metric_dimension, metric_dimension
+from .resolver import _dimensions
 
 MAX_ENUM_N = 8
 CENSUS_MAX_N = 7  # largest n that a census or theorem sweep solves
@@ -306,8 +306,8 @@ def _survey_block(job) -> list[tuple[int, int, int, int]]:
     n, classes = job
     out = []
     for mask, weight in classes:
-        g = _connected_graph_from_mask(n, mask)
-        out.append((mask, weight, metric_dimension(g).value, edge_metric_dimension(g).value))
+        dim, edim = _dimensions(_connected_graph_from_mask(n, mask))
+        out.append((mask, weight, dim.value, edim.value))
     return out
 
 

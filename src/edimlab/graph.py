@@ -4,6 +4,11 @@ Edges are stored canonically as (min, max) pairs sorted ascending, so two
 graphs compare equal exactly when they have the same vertex count and edge
 set.  Adjacency is kept both as sorted neighbour tuples and as per-vertex
 bitmasks; the bitmasks are what the search kernels and BFS operate on.
+
+`bfs_levels` is the one distance kernel: a BFS over the adjacency masks
+that returns, per source, the mask of the vertices at each distance.  The
+distance rows of `all_pairs_distances`, the diameter and the solvers'
+pair bitsets are all read off those level masks.
 """
 
 from dataclasses import dataclass, field
@@ -93,54 +98,70 @@ def build_graph(n: int, edge_pairs) -> Graph:
     return _graph_from_edges(n, tuple(canon))
 
 
+def _levels_from(adj: tuple[int, ...], src: int) -> tuple[list[int], int]:
+    """Level masks of the BFS from src (levels[d] = vertices at distance d),
+    and the mask of every vertex reached.  The one BFS loop of the package."""
+    seen = frontier = 1 << src
+    levels = [frontier]
+    while True:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~seen
+        if not frontier:
+            return levels, seen
+        levels.append(frontier)
+        seen |= frontier
+
+
 def is_connected(g: Graph) -> bool:
     """True when every vertex is reachable from vertex 0 (vacuously for n = 1)."""
-    if g.n <= 1:
-        return True
-    full = (1 << g.n) - 1
-    seen = 1
-    frontier = 1
+    return _levels_from(g.adj_bits, 0)[1] == (1 << g.n) - 1
+
+
+def bfs_levels(g: Graph, sources=None) -> list[list[int]]:
+    """BFS level masks from each source: levels[i][d] is the mask of the
+    vertices at distance d from sources[i] (from vertex i when sources is
+    None, meaning every vertex).  Raises VertexOutOfRangeError for a source
+    outside 0..n-1 and DisconnectedError if some vertex is unreachable.
+    """
+    n = g.n
     adj = g.adj_bits
-    while frontier:
-        nxt = 0
-        for v in bits_of(frontier):
-            nxt |= adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-        if seen == full:
-            return True
-    return False
+    full = (1 << n) - 1
+    out = []
+    for src in range(n) if sources is None else sources:
+        if not 0 <= src < n:
+            raise VertexOutOfRangeError(f"vertex {src} outside 0..{n - 1}")
+        levels, seen = _levels_from(adj, src)
+        if seen != full:
+            raise DisconnectedError(f"vertex {(seen ^ full).bit_length() - 1} unreachable from {src}")
+        out.append(levels)
+    return out
+
+
+def level_rows(levels: list[list[int]], size: int) -> list[tuple[int, ...]]:
+    """Level masks spread into distance rows: rows[i][o] = d for o in levels[i][d]."""
+    rows = []
+    for masks in levels:
+        row = [0] * size
+        for d, mask in enumerate(masks):
+            while mask:
+                low = mask & -mask
+                row[low.bit_length() - 1] = d
+                mask ^= low
+        rows.append(tuple(row))
+    return rows
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """BFS from every vertex; raises DisconnectedError if any pair is unreachable."""
-    n = g.n
-    adj = g.adj_bits
-    full = (1 << n) - 1
-    rows = []
-    for src in range(n):
-        dist = [0] * n
-        seen = 1 << src
-        frontier = seen
-        level = 0
-        while frontier:
-            nxt = 0
-            for v in bits_of(frontier):
-                nxt |= adj[v]
-            frontier = nxt & ~seen
-            level += 1
-            for v in bits_of(frontier):
-                dist[v] = level
-            seen |= frontier
-        if seen != full:
-            raise DisconnectedError(f"vertex {(seen ^ full).bit_length() - 1} unreachable from {src}")
-        rows.append(tuple(dist))
-    return DistanceMatrix(n, tuple(rows))
+    return DistanceMatrix(g.n, tuple(level_rows(bfs_levels(g), g.n)))
 
 
 def diameter(g: Graph) -> int:
-    dm = all_pairs_distances(g)
-    return max(max(row) for row in dm.d)
+    return max(len(levels) for levels in bfs_levels(g)) - 1
 
 
 def max_degree(g: Graph) -> int:

@@ -4,10 +4,19 @@ A landmark set S resolves the vertex set when the distance tuples to S are
 pairwise distinct, and resolves the edge set when the edge-to-landmark
 distance tuples are pairwise distinct.  The solver reduces both problems to
 hitting every object pair with a landmark that separates it: for each
-candidate landmark v it builds, from one object mask per distance level,
-a big-integer bitset whose bit p is set exactly when v separates the p-th
-object pair (pairs (i, j) with i < j, indexed lexicographically).  A set S
-is a generator iff the union of its bitsets covers every pair.
+candidate landmark v it builds a big-integer bitset whose bit p is set
+exactly when v separates the p-th object pair (pairs (i, j) with i < j,
+indexed lexicographically).  A set S is a generator iff the union of its
+bitsets covers every pair.
+
+The bitsets come straight from the BFS level masks of `graph.bfs_levels`,
+one BFS per graph however many problems are solved on it: two objects at
+the same level are not separated.  The edge levels come from the same
+masks: with E(X) the edges incident to the vertex set X, the edges at
+distance d from v are E(seen<=d) ^ E(seen<d), where seen<=d is the union
+of v's first d + 1 vertex levels.  `is_vertex_generator` and
+`is_edge_generator` keep their own definition, pairwise distinct
+signature tuples, and run the BFS from the landmarks only.
 
 Search order contract: the reported witness is the lexicographically least
 basis of minimum size, i.e. the first generator met when scanning subset
@@ -41,8 +50,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import DisconnectedError, NoEdgesError, NotAnEdgeError, NTooLargeError
-from .graph import DistanceMatrix, Graph, all_pairs_distances, is_connected
+from .errors import (
+    DisconnectedError,
+    NoEdgesError,
+    NotAnEdgeError,
+    NTooLargeError,
+    VertexOutOfRangeError,
+)
+from .graph import DistanceMatrix, Graph, bfs_levels, is_connected, level_rows
 
 # Sizes are refuted by branch-and-bound once a lexicographic refutation of
 # greedy - 1 may scan at least this many landmark subsets, C(landmarks,
@@ -66,8 +81,16 @@ class DimensionResult:
     all_bases: tuple[tuple[int, ...], ...] | None = None
 
 
+def _check_vertices(n: int, vertices) -> None:
+    # a negative index would wrap around in the distance rows
+    for v in vertices:
+        if not 0 <= v < n:
+            raise VertexOutOfRangeError(f"vertex {v} outside 0..{n - 1}")
+
+
 def vertex_signature(dm: DistanceMatrix, x: int, landmarks) -> tuple[int, ...]:
     """Distances from vertex x to the landmarks, in the given order."""
+    _check_vertices(dm.n, (x, *landmarks))
     return tuple(dm.d[x][v] for v in landmarks)
 
 
@@ -76,26 +99,57 @@ def edge_signature(dm: DistanceMatrix, e: tuple[int, int], landmarks) -> tuple[i
     x, y = e
     if not (0 <= x < dm.n and 0 <= y < dm.n) or dm.d[x][y] != 1:
         raise NotAnEdgeError(f"({x}, {y}) is not an edge")
+    _check_vertices(dm.n, landmarks)
     dx, dy = dm.d[x], dm.d[y]
     return tuple(min(dx[v], dy[v]) for v in landmarks)
 
 
-def _is_generator(g: Graph, s, objects, signature) -> bool:
+def _edge_levels(g: Graph, levels: list[list[int]]) -> list[list[int]]:
+    """Edge masks by distance from each source of `levels`, over edge indices.
+
+    An edge is within distance d of v iff one of its endpoints is, so the
+    edges at distance d are E(seen<=d) ^ E(seen<d): one OR of an incident-edge
+    mask per vertex and source.
+    """
+    incident = [0] * g.n
+    for k, (x, y) in enumerate(g.edges):
+        incident[x] |= 1 << k
+        incident[y] |= 1 << k
+    out = []
+    for masks in levels:
+        reached = 0
+        edge_masks = []
+        for mask in masks:
+            grown = reached
+            while mask:
+                low = mask & -mask
+                grown |= incident[low.bit_length() - 1]
+                mask ^= low
+            edge_masks.append(grown ^ reached)
+            reached = grown
+        out.append(edge_masks)
+    return out
+
+
+def _is_generator(g: Graph, s, n_obj: int, object_levels) -> bool:
     if not is_connected(g):
         raise DisconnectedError("generator check requires a connected graph")
-    dm = all_pairs_distances(g)
-    order = sorted(s)
-    return len({signature(dm, o, order) for o in objects}) == len(objects)
+    # rows[i][o]: distance of object o to the i-th landmark; o's signature is its column
+    rows = level_rows(object_levels(bfs_levels(g, sorted(s))), n_obj)
+    if not rows:
+        # every object has the empty signature
+        return n_obj <= 1
+    return len(set(zip(*rows))) == n_obj
 
 
 def is_vertex_generator(g: Graph, s) -> bool:
     """True when the vertices of g have pairwise distinct signatures over s."""
-    return _is_generator(g, s, range(g.n), vertex_signature)
+    return _is_generator(g, s, g.n, lambda levels: levels)
 
 
 def is_edge_generator(g: Graph, s) -> bool:
     """True when the edges of g have pairwise distinct signatures over s."""
-    return _is_generator(g, s, g.edges, edge_signature)
+    return _is_generator(g, s, g.m, lambda levels: _edge_levels(g, levels))
 
 
 def _pair_offsets(n_obj: int) -> list[int]:
@@ -106,26 +160,24 @@ def _pair_offsets(n_obj: int) -> list[int]:
     return off
 
 
-def _distinguishing_bitsets(rows, n_obj: int) -> tuple[list[int], int]:
-    """rows[v][o] = distance of object o to landmark v.
+def _pair_bitsets(levels: list[list[int]], n_obj: int) -> tuple[list[int], int]:
+    """levels[v][d] = mask of the objects at distance d from landmark v.
 
     Returns per-landmark bitsets over object pairs plus the full-universe
     mask.  Bits are set for separated pairs.  The complement (pairs at equal
-    distance) comes from one object mask per distance level: for each
-    object i of a level mask M, the pairs (i, j) with j > i in M are the
-    bits of M >> (i + 1), placed at the index of pair (i, i + 1).
+    distance) comes from the level masks: for each object i of a level mask
+    M, the pairs (i, j) with j > i in M are the bits of M >> (i + 1), placed
+    at the index of pair (i, i + 1).
     """
     npairs = n_obj * (n_obj - 1) // 2
     universe = (1 << npairs) - 1
     off = _pair_offsets(n_obj)
     bits = []
-    for row in rows:
-        levels: dict[int, int] = {}
-        for obj, val in enumerate(row):
-            levels[val] = levels.get(val, 0) | 1 << obj
+    for masks in levels:
         same = 0
-        for mask in levels.values():
-            while mask:
+        for mask in masks:
+            # the last object of a level starts no pair
+            while mask & (mask - 1):
                 low = mask & -mask
                 mask ^= low
                 i = low.bit_length() - 1
@@ -336,8 +388,8 @@ def _check_pair_bits(landmarks: int, objects: int) -> None:
         )
 
 
-def _minimum_cover(rows, n_obj: int, want_all: bool) -> DimensionResult:
-    bits, universe = _distinguishing_bitsets(rows, n_obj)
+def _minimum_cover(levels: list[list[int]], n_obj: int, want_all: bool) -> DimensionResult:
+    bits, universe = _pair_bitsets(levels, n_obj)
     if universe == 0:
         # no pair to separate (one vertex, or at most one edge): the empty set
         return DimensionResult(0, (), ((),) if want_all else None)
@@ -348,7 +400,7 @@ def _minimum_cover(rows, n_obj: int, want_all: bool) -> DimensionResult:
     witness = None
     if comb(len(bits), opt - 1) >= BRANCH_AND_BOUND_MIN_SUBSETS:
         # the same covers, over the minimal separator sets instead of all pairs
-        seps, bits = _minimal_separators(bits, universe, rows, n_obj)
+        seps, bits = _minimal_separators(bits, universe, level_rows(levels, n_obj), n_obj)
         universe = (1 << len(seps)) - 1
         suffix = _suffix_unions(bits)
         opt = _branch_and_bound_size(bits, universe, seps, opt)
@@ -367,8 +419,7 @@ def metric_dimension(g: Graph, want_all_bases: bool = False) -> DimensionResult:
     if not is_connected(g):
         raise DisconnectedError("metric dimension requires a connected graph")
     _check_pair_bits(g.n, g.n)
-    dm = all_pairs_distances(g)
-    return _minimum_cover(dm.d, g.n, want_all_bases)
+    return _minimum_cover(bfs_levels(g), g.n, want_all_bases)
 
 
 def edge_metric_dimension(g: Graph, want_all_bases: bool = False) -> DimensionResult:
@@ -376,10 +427,19 @@ def edge_metric_dimension(g: Graph, want_all_bases: bool = False) -> DimensionRe
     if not is_connected(g):
         raise DisconnectedError("edge metric dimension requires a connected graph")
     _check_pair_bits(g.n, g.m)
-    dm = all_pairs_distances(g)
-    edges = g.edges
-    rows = [[min(drow[x], drow[y]) for x, y in edges] for drow in dm.d]
-    return _minimum_cover(rows, g.m, want_all_bases)
+    return _minimum_cover(_edge_levels(g, bfs_levels(g)), g.m, want_all_bases)
+
+
+def _dimensions(g: Graph, want_all_bases: bool = False) -> tuple[DimensionResult, DimensionResult]:
+    """dim and edim of g from one BFS.  The caller has checked that g is
+    connected (the BFS raises DisconnectedError otherwise)."""
+    _check_pair_bits(g.n, g.n)
+    _check_pair_bits(g.n, g.m)
+    levels = bfs_levels(g)
+    return (
+        _minimum_cover(levels, g.n, want_all_bases),
+        _minimum_cover(_edge_levels(g, levels), g.m, want_all_bases),
+    )
 
 
 def min_joint_cover(g: Graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -391,8 +451,7 @@ def min_joint_cover(g: Graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ..
         raise DisconnectedError("joint cover requires a connected graph")
     if g.m == 0:
         raise NoEdgesError("joint cover requires at least one edge")
-    vres = metric_dimension(g, want_all_bases=True)
-    eres = edge_metric_dimension(g, want_all_bases=True)
+    vres, eres = _dimensions(g, want_all_bases=True)
     best = None
     for s in vres.all_bases:
         s_set = set(s)

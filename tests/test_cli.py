@@ -154,17 +154,53 @@ def test_product_sweep_fails_at_n7(capsys):
 
 
 def test_memory_guard_refuses_before_any_distance_is_computed(monkeypatch, capsys):
-    from edimlab import resolver
+    from edimlab import graph, resolver
 
-    def unreachable(g):
-        raise AssertionError("all_pairs_distances ran past the memory guard")
+    def unreachable(*args):
+        raise AssertionError("a distance was computed past the memory guard")
 
-    monkeypatch.setattr(resolver, "all_pairs_distances", unreachable)
+    # every distance comes from graph.bfs_levels, which resolver imports by name
+    monkeypatch.setattr(graph, "bfs_levels", unreachable)
+    monkeypatch.setattr(resolver, "bfs_levels", unreachable)
+    # the spy is on the solvers' path: below the guard, a solve reaches it
+    for solve in (resolver.metric_dimension, resolver.edge_metric_dimension,
+                  resolver.min_joint_cover, graph.all_pairs_distances):
+        with pytest.raises(AssertionError, match="past the memory guard"):
+            solve(path_graph(3))
     # edim of K_300: 300 landmarks x C(44850, 2) edge pairs, about 3.0e11 bits
     assert main(["compute", "edim", "--construct", "complete", "300"]) == 2
     assert "bits of pair bitsets" in capsys.readouterr().err
+    # the joint cover guards both of its solves before its one BFS
+    assert main(["compute", "joint", "--construct", "complete", "300"]) == 2
+    assert "bits of pair bitsets" in capsys.readouterr().err
     # dim of P_2100: 2100 landmarks x C(2100, 2) vertex pairs, about 4.6e9 bits
     assert main(["compute", "dim", "--construct", "path", "2100"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("verify", "ncondition", "--g", "path:5", "--m", "7"), "--m"),
+        (("verify", "join", "--g", "path:3", "--m", "0"), "--m"),
+        (("verify", "corollary", "--sweep", "3", "--m", "2"), "--m"),
+        (("verify", "fk", "--kmax", "2", "--m", "3"), "--m"),
+        (("verify", "hk", "--kmax", "1", "--m", "2"), "--m"),
+        (("construct", "F", "2", "--g", "path:3"), "--g"),
+        (("construct", "H", "1", "--m", "0"), "--m"),
+        (("construct", "family", "path", "3", "--g1", "path:2"), "--g1"),
+        (("construct", "join", "--g1", "path:2", "--g2", "path:1", "--m", "2"), "--m"),
+        (("construct", "join", "--g1", "path:2", "--g2", "path:1", "--g", "path:3"), "--g"),
+        (("construct", "prod", "--g", "path:3", "--m", "2", "--g2", "path:1"), "--g2"),
+        (("construct", "prod", "3", "--g", "path:3", "--m", "2"), "positional"),
+        (("construct", "join", "4", "--g1", "path:2", "--g2", "path:1"), "positional"),
+        (("compute", "joint", "--construct", "path", "3", "--all-bases"), "--all-bases"),
+        (("compute", "dim", "--construct", "path", "3", "--format", "graph6"), "--format"),
+    ],
+)
+def test_options_a_subcommand_does_not_read_exit_2(argv, option, capsys):
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and option in err
 
 
 def test_exit_code_3_on_disconnected_input(tmp_path):
@@ -181,7 +217,8 @@ def test_exit_code_3_on_disconnected_input(tmp_path):
 def test_verify_exits_3_on_a_disconnected_graph(tmp_path, capsys, theorem, text):
     f = tmp_path / "disc.el"
     f.write_text(text)
-    assert main(["verify", theorem, "--graph", str(f), "--m", "2"]) == 3
+    extra = ["--m", "2"] if theorem == "product" else []
+    assert main(["verify", theorem, "--graph", str(f), *extra]) == 3
     out, err = capsys.readouterr()
     assert out == "" and "connected" in err
 

@@ -12,6 +12,7 @@ from edimlab import (
     SelfLoopError,
     VertexOutOfRangeError,
     all_pairs_distances,
+    bfs_levels,
     build_graph,
     construct_F,
     diameter,
@@ -120,10 +121,33 @@ def test_distances_match_bfs_oracle(g):
             assert d[i][j] == oracle[i][j]
 
 
+@given(connected_graphs(max_n=8))
+@settings(max_examples=60, deadline=None)
+def test_bfs_levels_match_bfs_oracle(g):
+    oracle = bfs_oracle(g)
+    sources = [g.n - 1, 0, g.n - 1]
+    for src, levels in zip(sources, bfs_levels(g, sources)):
+        ecc = max(oracle[src].values())
+        want = [sum(1 << v for v, d in oracle[src].items() if d == k) for k in range(ecc + 1)]
+        assert levels == want
+    assert len(bfs_levels(g)) == g.n and bfs_levels(g, []) == []
+
+
+def test_bfs_levels_refuse_bad_sources_and_disconnected_graphs():
+    for bad in (-1, 3):
+        with pytest.raises(VertexOutOfRangeError):
+            bfs_levels(path(3), [bad])
+    with pytest.raises(DisconnectedError):
+        bfs_levels(build_graph(3, [(0, 1)]), [2])
+
+
 def test_diameters():
     assert diameter(complete(5)) == 1
     assert diameter(path(5)) == 4
     assert diameter(construct_F(2).graph) == 2
+    assert diameter(build_graph(1, [])) == 0
+    with pytest.raises(DisconnectedError):
+        diameter(build_graph(3, [(0, 1)]))
 
 
 def test_max_degrees():

@@ -8,7 +8,9 @@ from edimlab import (
     DisconnectedError,
     NoEdgesError,
     NotAnEdgeError,
+    VertexOutOfRangeError,
     all_pairs_distances,
+    bfs_levels,
     build_graph,
     cartesian_path,
     construct_F,
@@ -21,6 +23,7 @@ from edimlab import (
     min_joint_cover,
     vertex_signature,
 )
+from edimlab.graph import level_rows
 from edimlab.reference import edge_metric_dimension_naive, metric_dimension_naive
 
 from conftest import bfs_oracle, complete, connected_graphs, cycle, path, star
@@ -54,6 +57,35 @@ def test_generator_predicates_require_connected():
     g = build_graph(3, [(0, 1)])
     with pytest.raises(DisconnectedError):
         is_vertex_generator(g, {0})
+    # no landmark, so no BFS: the connectivity test still refuses g
+    with pytest.raises(DisconnectedError):
+        is_edge_generator(g, ())
+
+
+def test_landmarks_outside_the_graph_are_refused():
+    p4 = path(4)
+    dm = all_pairs_distances(p4)
+    for bad in (-1, -4, 4):
+        with pytest.raises(VertexOutOfRangeError):
+            is_vertex_generator(p4, [bad])
+        with pytest.raises(VertexOutOfRangeError):
+            is_edge_generator(p4, [0, bad])
+        with pytest.raises(VertexOutOfRangeError):
+            vertex_signature(dm, 0, [bad])
+        with pytest.raises(VertexOutOfRangeError):
+            vertex_signature(dm, bad, [0])
+        with pytest.raises(VertexOutOfRangeError):
+            edge_signature(dm, (0, 1), [bad])
+
+
+def test_empty_landmark_set_generates_at_most_one_object():
+    k1, k2 = build_graph(1, []), path(2)
+    assert is_vertex_generator(k1, ())
+    assert not is_vertex_generator(k2, ())
+    assert is_edge_generator(k1, ())
+    witness = edge_metric_dimension(k2).witness  # the empty edim witness of K_2
+    assert witness == () and is_edge_generator(k2, witness)
+    assert not is_edge_generator(path(3), ())
 
 
 def test_dimension_values():
@@ -222,17 +254,45 @@ def _separator_sets(g):
     }
 
 
+def _object_levels(g):
+    """Per kind, (level masks of the objects from every landmark, object count)."""
+    levels = bfs_levels(g)
+    return {"dim": (levels, g.n), "edim": (resolver._edge_levels(g, levels), g.m)}
+
+
+def test_level_bitsets_match_brute_force_separation():
+    rng = random.Random(10)
+    for n in range(2, 13):
+        for p in (0.3, 0.6):
+            g = _gnp_connected(rng, n, p)
+            dm = all_pairs_distances(g)
+            objects = {"dim": range(n), "edim": g.edges}
+            signature = {"dim": vertex_signature, "edim": edge_signature}
+            generator = {"dim": is_vertex_generator, "edim": is_edge_generator}
+            seps = _separator_sets(g)
+            for kind, (levels, n_obj) in _object_levels(g).items():
+                bits, universe = resolver._pair_bitsets(levels, n_obj)
+                assert universe == (1 << len(seps[kind])) - 1
+                assert bits == [sum(1 << k for k, s in enumerate(seps[kind]) if v in s) for v in range(n)]
+                # landmark-only generator checks against signatures over all-pairs rows
+                for s in [(), (0,), tuple(range(n))] + [
+                    tuple(sorted(rng.sample(range(n), rng.randint(1, n)))) for _ in range(6)
+                ]:
+                    distinct = len({signature[kind](dm, o, s) for o in objects[kind]}) == n_obj
+                    assert generator[kind](g, s) == distinct, (g.edges, kind, s)
+
+
 def test_minimal_separators_are_the_inclusion_minimal_sets():
     rng = random.Random(8)
     for n in range(7, 13):
         for p in (0.3, 0.6):
             g = _gnp_connected(rng, n, p)
-            d = all_pairs_distances(g).d
-            rows = {"dim": d, "edim": [[min(r[x], r[y]) for x, y in g.edges] for r in d]}
+            levels = _object_levels(g)
             for kind, seps in _separator_sets(g).items():
-                n_obj = len(rows[kind][0])
-                bits, universe = resolver._distinguishing_bitsets(rows[kind], n_obj)
-                kept, reduced = resolver._minimal_separators(bits, universe, rows[kind], n_obj)
+                obj_levels, n_obj = levels[kind]
+                bits, universe = resolver._pair_bitsets(obj_levels, n_obj)
+                rows = level_rows(obj_levels, n_obj)
+                kept, reduced = resolver._minimal_separators(bits, universe, rows, n_obj)
                 got = [frozenset(v for v in range(n) if sep >> v & 1) for sep in kept]
                 distinct = set(seps)
                 assert len(got) == len(set(got))
