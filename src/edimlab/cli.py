@@ -87,10 +87,11 @@ def _load_input(args) -> Graph:
     if args.construct and args.input:
         raise BadParamsError(f"input file {args.input!r} and --construct are two graphs; give one")
     if args.construct:
-        _refuse_unread(args, "compute --construct", ("format",))
+        if args.format != "auto":  # the default, which reads nothing
+            raise BadParamsError("compute --construct does not read --format")
         return _graph_of(_build_from_tokens(args.construct))
     if args.input:
-        return _read_graph_file(args.input, args.format or "auto")
+        return _read_graph_file(args.input, args.format)
     raise BadParamsError("provide an input file or --construct")
 
 
@@ -268,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--construct", nargs="+", metavar="TOKEN",
                    help="inline construction, e.g. --construct F 2")
     c.add_argument("--all-bases", action="store_true")
-    c.add_argument("--format", choices=["auto", "edgelist", "graph6"],
-                   help="input file format (default: auto)")
+    c.add_argument("--format", choices=["auto", "edgelist", "graph6"], default="auto")
     c.set_defaults(fn=cmd_compute)
 
     b = sub.add_parser("construct", help="build a named graph and write it out")

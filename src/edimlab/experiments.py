@@ -31,8 +31,8 @@ from operator import or_
 from ._par import item_blocks, run_blocks
 from .errors import BadParamsError, NTooLargeError
 from .formats import write_graph6
-from .graph import Graph, _graph_from_edges, is_connected
-from .resolver import _dimensions
+from .graph import Graph, _graph_from_edges, all_pairs_distances, is_connected
+from .resolver import edge_metric_dimension, metric_dimension
 
 MAX_ENUM_N = 8
 CENSUS_MAX_N = 7  # largest n that a census or theorem sweep solves
@@ -306,7 +306,9 @@ def _survey_block(job) -> list[tuple[int, int, int, int]]:
     n, classes = job
     out = []
     for mask, weight in classes:
-        dim, edim = _dimensions(_connected_graph_from_mask(n, mask))
+        g = _connected_graph_from_mask(n, mask)
+        dm = all_pairs_distances(g)  # one BFS for both solves
+        dim, edim = metric_dimension(g, dm=dm), edge_metric_dimension(g, dm=dm)
         out.append((mask, weight, dim.value, edim.value))
     return out
 

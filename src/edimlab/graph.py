@@ -7,11 +7,14 @@ bitmasks; the bitmasks are what the search kernels and BFS operate on.
 
 `bfs_levels` is the one distance kernel: a BFS over the adjacency masks
 that returns, per source, the mask of the vertices at each distance.  The
-distance rows of `all_pairs_distances`, the diameter and the solvers'
-pair bitsets are all read off those level masks.
+distance rows, the diameter and the solvers' pair bitsets are all read
+off those level masks.  `all_pairs_distances` returns them as a
+`DistanceMatrix`, which spreads them into distance rows only when its
+rows are read.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     BadParamsError,
@@ -49,8 +52,24 @@ class Graph:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
+    """Distances of a connected graph as BFS level masks: levels[v][k] is
+    the mask of the vertices at distance k from v.  The rows, d[v][u] =
+    distance from v to u, are read off the masks on first use."""
+
     n: int
-    d: tuple[tuple[int, ...], ...]
+    levels: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def d(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(level_rows(self.levels, self.n))
+
+
+def check_vertices(n: int, vertices) -> None:
+    """Raise VertexOutOfRangeError for a vertex outside 0..n-1 (a negative
+    index would otherwise wrap around in a distance row)."""
+    for v in vertices:
+        if not 0 <= v < n:
+            raise VertexOutOfRangeError(f"vertex {v} outside 0..{n - 1}")
 
 
 def bits_of(mask: int):
@@ -130,10 +149,12 @@ def bfs_levels(g: Graph, sources=None) -> list[list[int]]:
     n = g.n
     adj = g.adj_bits
     full = (1 << n) - 1
+    if sources is None:
+        sources = range(n)
+    else:
+        check_vertices(n, sources)
     out = []
-    for src in range(n) if sources is None else sources:
-        if not 0 <= src < n:
-            raise VertexOutOfRangeError(f"vertex {src} outside 0..{n - 1}")
+    for src in sources:
         levels, seen = _levels_from(adj, src)
         if seen != full:
             raise DisconnectedError(f"vertex {(seen ^ full).bit_length() - 1} unreachable from {src}")
@@ -157,7 +178,7 @@ def level_rows(levels: list[list[int]], size: int) -> list[tuple[int, ...]]:
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """BFS from every vertex; raises DisconnectedError if any pair is unreachable."""
-    return DistanceMatrix(g.n, tuple(level_rows(bfs_levels(g), g.n)))
+    return DistanceMatrix(g.n, tuple(map(tuple, bfs_levels(g))))
 
 
 def diameter(g: Graph) -> int:
@@ -173,8 +194,7 @@ def edge_vertex_distance(dm: DistanceMatrix, e: tuple[int, int], v: int) -> int:
     x, y = e
     if not (0 <= x < dm.n and 0 <= y < dm.n) or dm.d[x][y] != 1:
         raise NotAnEdgeError(f"({x}, {y}) is not an edge")
-    if not 0 <= v < dm.n:
-        raise VertexOutOfRangeError(f"vertex {v} outside 0..{dm.n - 1}")
+    check_vertices(dm.n, (v,))
     return min(dm.d[x][v], dm.d[y][v])
 
 

@@ -9,14 +9,17 @@ exactly when v separates the p-th object pair (pairs (i, j) with i < j,
 indexed lexicographically).  A set S is a generator iff the union of its
 bitsets covers every pair.
 
-The bitsets come straight from the BFS level masks of `graph.bfs_levels`,
-one BFS per graph however many problems are solved on it: two objects at
-the same level are not separated.  The edge levels come from the same
-masks: with E(X) the edges incident to the vertex set X, the edges at
-distance d from v are E(seen<=d) ^ E(seen<d), where seen<=d is the union
-of v's first d + 1 vertex levels.  `is_vertex_generator` and
-`is_edge_generator` keep their own definition, pairwise distinct
-signature tuples, and run the BFS from the landmarks only.
+The bitsets come straight from the BFS level masks that
+`all_pairs_distances` keeps in its `DistanceMatrix` (`dm.levels`): two
+objects at the same level are not separated.  The edge levels come from
+the same masks: with E(X) the edges incident to the vertex set X, the
+edges at distance d from v are E(seen<=d) ^ E(seen<d), where seen<=d is
+the union of v's first d + 1 vertex levels.  A caller that solves both
+problems on one graph passes the same `dm` to both solvers, so the graph
+gets one BFS and one connectivity test (`min_joint_cover` does).
+`is_vertex_generator` and `is_edge_generator` keep their own definition,
+pairwise distinct signature tuples, and run the BFS from the landmarks
+only (`graph.bfs_levels`).
 
 Search order contract: the reported witness is the lexicographically least
 basis of minimum size, i.e. the first generator met when scanning subset
@@ -50,14 +53,16 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import (
-    DisconnectedError,
-    NoEdgesError,
-    NotAnEdgeError,
-    NTooLargeError,
-    VertexOutOfRangeError,
+from .errors import DisconnectedError, NoEdgesError, NotAnEdgeError, NTooLargeError
+from .graph import (
+    DistanceMatrix,
+    Graph,
+    all_pairs_distances,
+    bfs_levels,
+    check_vertices,
+    is_connected,
+    level_rows,
 )
-from .graph import DistanceMatrix, Graph, bfs_levels, is_connected, level_rows
 
 # Sizes are refuted by branch-and-bound once a lexicographic refutation of
 # greedy - 1 may scan at least this many landmark subsets, C(landmarks,
@@ -81,16 +86,9 @@ class DimensionResult:
     all_bases: tuple[tuple[int, ...], ...] | None = None
 
 
-def _check_vertices(n: int, vertices) -> None:
-    # a negative index would wrap around in the distance rows
-    for v in vertices:
-        if not 0 <= v < n:
-            raise VertexOutOfRangeError(f"vertex {v} outside 0..{n - 1}")
-
-
 def vertex_signature(dm: DistanceMatrix, x: int, landmarks) -> tuple[int, ...]:
     """Distances from vertex x to the landmarks, in the given order."""
-    _check_vertices(dm.n, (x, *landmarks))
+    check_vertices(dm.n, (x, *landmarks))
     return tuple(dm.d[x][v] for v in landmarks)
 
 
@@ -99,7 +97,7 @@ def edge_signature(dm: DistanceMatrix, e: tuple[int, int], landmarks) -> tuple[i
     x, y = e
     if not (0 <= x < dm.n and 0 <= y < dm.n) or dm.d[x][y] != 1:
         raise NotAnEdgeError(f"({x}, {y}) is not an edge")
-    _check_vertices(dm.n, landmarks)
+    check_vertices(dm.n, landmarks)
     dx, dy = dm.d[x], dm.d[y]
     return tuple(min(dx[v], dy[v]) for v in landmarks)
 
@@ -414,32 +412,33 @@ def _minimum_cover(levels: list[list[int]], n_obj: int, want_all: bool) -> Dimen
     return DimensionResult(opt, witness or next(_covers(bits, suffix, universe, opt)))
 
 
-def metric_dimension(g: Graph, want_all_bases: bool = False) -> DimensionResult:
-    """Minimum vertex set with pairwise distinct vertex signatures."""
-    if not is_connected(g):
+def metric_dimension(
+    g: Graph, want_all_bases: bool = False, dm: DistanceMatrix | None = None
+) -> DimensionResult:
+    """Minimum vertex set with pairwise distinct vertex signatures.
+
+    dm, if given, must be all_pairs_distances(g), which also proves g
+    connected: a caller solving more than one problem on g shares it.
+    """
+    if dm is None and not is_connected(g):
         raise DisconnectedError("metric dimension requires a connected graph")
     _check_pair_bits(g.n, g.n)
-    return _minimum_cover(bfs_levels(g), g.n, want_all_bases)
+    if dm is None:
+        dm = all_pairs_distances(g)
+    return _minimum_cover(dm.levels, g.n, want_all_bases)
 
 
-def edge_metric_dimension(g: Graph, want_all_bases: bool = False) -> DimensionResult:
-    """Minimum vertex set with pairwise distinct edge signatures."""
-    if not is_connected(g):
+def edge_metric_dimension(
+    g: Graph, want_all_bases: bool = False, dm: DistanceMatrix | None = None
+) -> DimensionResult:
+    """Minimum vertex set with pairwise distinct edge signatures; dm as in
+    metric_dimension."""
+    if dm is None and not is_connected(g):
         raise DisconnectedError("edge metric dimension requires a connected graph")
     _check_pair_bits(g.n, g.m)
-    return _minimum_cover(_edge_levels(g, bfs_levels(g)), g.m, want_all_bases)
-
-
-def _dimensions(g: Graph, want_all_bases: bool = False) -> tuple[DimensionResult, DimensionResult]:
-    """dim and edim of g from one BFS.  The caller has checked that g is
-    connected (the BFS raises DisconnectedError otherwise)."""
-    _check_pair_bits(g.n, g.n)
-    _check_pair_bits(g.n, g.m)
-    levels = bfs_levels(g)
-    return (
-        _minimum_cover(levels, g.n, want_all_bases),
-        _minimum_cover(_edge_levels(g, levels), g.m, want_all_bases),
-    )
+    if dm is None:
+        dm = all_pairs_distances(g)
+    return _minimum_cover(_edge_levels(g, dm.levels), g.m, want_all_bases)
 
 
 def min_joint_cover(g: Graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -451,7 +450,12 @@ def min_joint_cover(g: Graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ..
         raise DisconnectedError("joint cover requires a connected graph")
     if g.m == 0:
         raise NoEdgesError("joint cover requires at least one edge")
-    vres, eres = _dimensions(g, want_all_bases=True)
+    # both guards before the one BFS that the two solves share
+    _check_pair_bits(g.n, g.n)
+    _check_pair_bits(g.n, g.m)
+    dm = all_pairs_distances(g)
+    vres = metric_dimension(g, True, dm)
+    eres = edge_metric_dimension(g, True, dm)
     best = None
     for s in vres.all_bases:
         s_set = set(s)

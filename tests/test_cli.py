@@ -160,8 +160,10 @@ def test_memory_guard_refuses_before_any_distance_is_computed(monkeypatch, capsy
         raise AssertionError("a distance was computed past the memory guard")
 
     # every distance comes from graph.bfs_levels, which resolver imports by name
-    monkeypatch.setattr(graph, "bfs_levels", unreachable)
-    monkeypatch.setattr(resolver, "bfs_levels", unreachable)
+    # and calls through all_pairs_distances (solves) or directly (generator checks)
+    for module, name in ((graph, "bfs_levels"), (resolver, "bfs_levels"),
+                         (resolver, "all_pairs_distances")):
+        monkeypatch.setattr(module, name, unreachable)
     # the spy is on the solvers' path: below the guard, a solve reaches it
     for solve in (resolver.metric_dimension, resolver.edge_metric_dimension,
                   resolver.min_joint_cover, graph.all_pairs_distances):
@@ -201,6 +203,11 @@ def test_options_a_subcommand_does_not_read_exit_2(argv, option, capsys):
     assert main(list(argv)) == 2
     out, err = capsys.readouterr()
     assert out == "" and option in err
+
+
+def test_the_default_format_is_accepted_with_construct(capsys):
+    assert main(["compute", "dim", "--construct", "path", "3", "--format", "auto"]) == 0
+    assert capsys.readouterr().out == "value: 1\nwitness: [0]\n"
 
 
 def test_exit_code_3_on_disconnected_input(tmp_path):

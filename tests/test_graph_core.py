@@ -131,6 +131,7 @@ def test_bfs_levels_match_bfs_oracle(g):
         want = [sum(1 << v for v, d in oracle[src].items() if d == k) for k in range(ecc + 1)]
         assert levels == want
     assert len(bfs_levels(g)) == g.n and bfs_levels(g, []) == []
+    assert all_pairs_distances(g).levels == tuple(map(tuple, bfs_levels(g)))
 
 
 def test_bfs_levels_refuse_bad_sources_and_disconnected_graphs():

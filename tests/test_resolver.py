@@ -10,7 +10,6 @@ from edimlab import (
     NotAnEdgeError,
     VertexOutOfRangeError,
     all_pairs_distances,
-    bfs_levels,
     build_graph,
     cartesian_path,
     construct_F,
@@ -148,6 +147,25 @@ def test_min_joint_cover_requires_edges():
         min_joint_cover(build_graph(1, []))
 
 
+def test_joint_cover_tests_and_searches_its_graph_once(monkeypatch):
+    calls = {"is_connected": 0, "all_pairs_distances": 0}
+    for name in calls:
+        def counted(g, _fn=getattr(resolver, name), _name=name):
+            calls[_name] += 1
+            return _fn(g)
+        monkeypatch.setattr(resolver, name, counted)
+    assert min_joint_cover(cycle(5)) == (2, ((0, 1), (0, 1)))
+    assert calls == {"is_connected": 1, "all_pairs_distances": 1}
+
+
+@given(connected_graphs(max_n=7))
+@settings(max_examples=40, deadline=None)
+def test_solves_from_a_shared_distance_matrix_match_fresh_ones(g):
+    dm = all_pairs_distances(g)
+    assert metric_dimension(g, True, dm) == metric_dimension(g, True)
+    assert edge_metric_dimension(g, True, dm) == edge_metric_dimension(g, True)
+
+
 @given(connected_graphs(max_n=6))
 @settings(max_examples=40, deadline=None)
 def test_joint_cover_bounds(g):
@@ -256,7 +274,7 @@ def _separator_sets(g):
 
 def _object_levels(g):
     """Per kind, (level masks of the objects from every landmark, object count)."""
-    levels = bfs_levels(g)
+    levels = all_pairs_distances(g).levels
     return {"dim": (levels, g.n), "edim": (resolver._edge_levels(g, levels), g.m)}
 
 
