@@ -143,8 +143,9 @@ def is_connected(g: Graph) -> bool:
 def bfs_levels(g: Graph, sources=None) -> list[list[int]]:
     """BFS level masks from each source: levels[i][d] is the mask of the
     vertices at distance d from sources[i] (from vertex i when sources is
-    None, meaning every vertex).  Raises VertexOutOfRangeError for a source
-    outside 0..n-1 and DisconnectedError if some vertex is unreachable.
+    None, meaning every vertex; otherwise a sequence).  Raises
+    VertexOutOfRangeError for a source outside 0..n-1 and DisconnectedError
+    if some vertex is unreachable.
     """
     n = g.n
     adj = g.adj_bits
