@@ -115,6 +115,7 @@ def _write_manifest(out_path: Path, command: list[str], outputs: list[Path]) -> 
 
 
 def cmd_compute(args) -> int:
+    _refuse_unread(args, "compute", ("threads",))
     if args.kind == "joint":
         _refuse_unread(args, "compute joint", ("all-bases",))
     g = _load_input(args)
@@ -139,7 +140,8 @@ def cmd_compute(args) -> int:
 
 def cmd_construct(args) -> int:
     reads = {"prod": ("g", "m"), "join": ("g1", "g2")}.get(args.what, ())
-    _refuse_unread(args, f"construct {args.what}", [o for o in ("g", "g1", "g2", "m") if o not in reads])
+    unread = [o for o in ("g", "g1", "g2", "m", "threads") if o not in reads]
+    _refuse_unread(args, f"construct {args.what}", unread)
     if reads and args.params:
         raise BadParamsError(f"construct {args.what} takes no positional parameters, got {args.params}")
     if args.what == "prod":
@@ -196,6 +198,8 @@ def cmd_verify(args) -> int:
     theorem = args.theorem
     if theorem != "product":
         _refuse_unread(args, f"verify {theorem}", ("m",))
+    if args.sweep is None:
+        _refuse_unread(args, f"verify {theorem} without --sweep", ("threads",))
     given = [f"--{a}" for a in ("graph", "g", "sweep", "kmax") if getattr(args, a) is not None]
     if len(given) > 1:
         raise BadParamsError(f"{given[0]} and {given[1]} are two inputs to check; give one")
@@ -209,7 +213,7 @@ def cmd_verify(args) -> int:
         return _verify_single([CHECKS[theorem].run(g, args.m)], args.report)
     if args.sweep is None:
         raise BadParamsError("provide --graph, --g, or --sweep")
-    summary = sweep_theorem(theorem, args.sweep, threads=args.threads, m=args.m)
+    summary = sweep_theorem(theorem, args.sweep, threads=args.threads or 1, m=args.m)
     lines = []
     for n, graphs, holds, fails, na in summary.per_n:
         lines.append(f"n={n}: {graphs} graphs, {holds} holds, {fails} fails, {na} not_applicable")
@@ -239,7 +243,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    rows = survey_triples(args.n, threads=args.threads)
+    rows = survey_triples(args.n, threads=args.threads or 1)
     out_lines = ["n,dim,edim,count,example_graph6"]
     out_lines.extend(
         f"{r.n},{r.dim},{r.edim},{r.count},{r.example_graph6}" for r in rows
@@ -260,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="edimlab",
         description="Exact metric and edge metric dimension of small graphs.",
     )
-    p.add_argument("--threads", type=int, default=1, help="worker processes for sweeps")
+    p.add_argument("--threads", type=int, help="worker processes for sweeps and survey (default 1)")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("compute", help="solve dim, edim, or the joint cover number")
@@ -305,7 +309,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads < 1:
+        if args.threads is not None and args.threads < 1:
             raise BadParamsError(f"--threads must be at least 1, got {args.threads}")
         return args.fn(args)
     except FormatError as exc:

@@ -31,7 +31,7 @@ from operator import or_
 from ._par import item_blocks, run_blocks
 from .errors import BadParamsError, NTooLargeError
 from .formats import write_graph6
-from .graph import Graph, _graph_from_edges, all_pairs_distances, is_connected
+from .graph import Graph, _graph_from_edges, is_connected
 from .resolver import edge_metric_dimension, metric_dimension
 
 MAX_ENUM_N = 8
@@ -307,8 +307,7 @@ def _survey_block(job) -> list[tuple[int, int, int, int]]:
     out = []
     for mask, weight in classes:
         g = _connected_graph_from_mask(n, mask)
-        dm = all_pairs_distances(g)  # one BFS for both solves
-        dim, edim = metric_dimension(g, dm=dm), edge_metric_dimension(g, dm=dm)
+        dim, edim = metric_dimension(g), edge_metric_dimension(g)
         out.append((mask, weight, dim.value, edim.value))
     return out
 

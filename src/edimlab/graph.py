@@ -10,7 +10,9 @@ that returns, per source, the mask of the vertices at each distance.  The
 distance rows, the diameter and the solvers' pair bitsets are all read
 off those level masks.  `all_pairs_distances` returns them as a
 `DistanceMatrix`, which spreads them into distance rows only when its
-rows are read.
+rows are read.  A Graph computes its connectivity and its DistanceMatrix
+on first use and keeps them, outside `==` and `hash`, for as long as it
+lives: every solve and check on it reads the same ones.
 """
 
 from dataclasses import dataclass, field
@@ -48,6 +50,14 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj_bits[u] >> v & 1)
+
+    @cached_property
+    def connected(self) -> bool:
+        return _levels_from(self.adj_bits, 0)[1] == (1 << self.n) - 1
+
+    @cached_property
+    def distances(self) -> "DistanceMatrix":
+        return DistanceMatrix(self.n, tuple(map(tuple, bfs_levels(self))))
 
 
 @dataclass(frozen=True)
@@ -137,7 +147,7 @@ def _levels_from(adj: tuple[int, ...], src: int) -> tuple[list[int], int]:
 
 def is_connected(g: Graph) -> bool:
     """True when every vertex is reachable from vertex 0 (vacuously for n = 1)."""
-    return _levels_from(g.adj_bits, 0)[1] == (1 << g.n) - 1
+    return g.connected
 
 
 def bfs_levels(g: Graph, sources=None) -> list[list[int]]:
@@ -178,12 +188,12 @@ def level_rows(levels: list[list[int]], size: int) -> list[tuple[int, ...]]:
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex; raises DisconnectedError if any pair is unreachable."""
-    return DistanceMatrix(g.n, tuple(map(tuple, bfs_levels(g))))
+    """BFS from every vertex, once per graph; raises DisconnectedError if a pair is unreachable."""
+    return g.distances
 
 
 def diameter(g: Graph) -> int:
-    return max(len(levels) for levels in bfs_levels(g)) - 1
+    return max(map(len, all_pairs_distances(g).levels)) - 1
 
 
 def max_degree(g: Graph) -> int:

@@ -14,9 +14,9 @@ The bitsets come straight from the BFS level masks that
 objects at the same level are not separated.  The edge levels come from
 the same masks: with E(X) the edges incident to the vertex set X, the
 edges at distance d from v are E(seen<=d) ^ E(seen<d), where seen<=d is
-the union of v's first d + 1 vertex levels.  A caller that solves both
-problems on one graph passes the same `dm` to both solvers, so the graph
-gets one BFS and one connectivity test (`min_joint_cover` does).
+the union of v's first d + 1 vertex levels.  A graph keeps its distances
+and connectivity once computed, so both solves on one graph (as in
+`min_joint_cover`) share one BFS and one connectivity test.
 `is_vertex_generator` and `is_edge_generator` keep their own definition,
 pairwise distinct signature tuples, and run the BFS from the landmarks
 only (`graph.bfs_levels`).
@@ -412,33 +412,20 @@ def _minimum_cover(levels: list[list[int]], n_obj: int, want_all: bool) -> Dimen
     return DimensionResult(opt, witness or next(_covers(bits, suffix, universe, opt)))
 
 
-def metric_dimension(
-    g: Graph, want_all_bases: bool = False, dm: DistanceMatrix | None = None
-) -> DimensionResult:
-    """Minimum vertex set with pairwise distinct vertex signatures.
-
-    dm, if given, must be all_pairs_distances(g), which also proves g
-    connected: a caller solving more than one problem on g shares it.
-    """
-    if dm is None and not is_connected(g):
+def metric_dimension(g: Graph, want_all_bases: bool = False) -> DimensionResult:
+    """Minimum vertex set with pairwise distinct vertex signatures."""
+    if not is_connected(g):
         raise DisconnectedError("metric dimension requires a connected graph")
     _check_pair_bits(g.n, g.n)
-    if dm is None:
-        dm = all_pairs_distances(g)
-    return _minimum_cover(dm.levels, g.n, want_all_bases)
+    return _minimum_cover(all_pairs_distances(g).levels, g.n, want_all_bases)
 
 
-def edge_metric_dimension(
-    g: Graph, want_all_bases: bool = False, dm: DistanceMatrix | None = None
-) -> DimensionResult:
-    """Minimum vertex set with pairwise distinct edge signatures; dm as in
-    metric_dimension."""
-    if dm is None and not is_connected(g):
+def edge_metric_dimension(g: Graph, want_all_bases: bool = False) -> DimensionResult:
+    """Minimum vertex set with pairwise distinct edge signatures."""
+    if not is_connected(g):
         raise DisconnectedError("edge metric dimension requires a connected graph")
     _check_pair_bits(g.n, g.m)
-    if dm is None:
-        dm = all_pairs_distances(g)
-    return _minimum_cover(_edge_levels(g, dm.levels), g.m, want_all_bases)
+    return _minimum_cover(_edge_levels(g, all_pairs_distances(g).levels), g.m, want_all_bases)
 
 
 def min_joint_cover(g: Graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -450,12 +437,11 @@ def min_joint_cover(g: Graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ..
         raise DisconnectedError("joint cover requires a connected graph")
     if g.m == 0:
         raise NoEdgesError("joint cover requires at least one edge")
-    # both guards before the one BFS that the two solves share
+    # both guards before the first solve computes g's distances, which the second reads
     _check_pair_bits(g.n, g.n)
     _check_pair_bits(g.n, g.m)
-    dm = all_pairs_distances(g)
-    vres = metric_dimension(g, True, dm)
-    eres = edge_metric_dimension(g, True, dm)
+    vres = metric_dimension(g, True)
+    eres = edge_metric_dimension(g, True)
     best = None
     for s in vres.all_bases:
         s_set = set(s)

@@ -2,10 +2,11 @@ import collections
 import os
 from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
 import edimlab
-from edimlab import build_graph, standard_family
+from edimlab import build_graph, graph, standard_family
 
 
 def cli_env():
@@ -52,6 +53,20 @@ def bfs_oracle(g):
                     queue.append(w)
         dists[src] = dist
     return dists
+
+
+@pytest.fixture
+def bfs_runs(monkeypatch):
+    """The source of every BFS run (graph._levels_from call) the test makes, in order."""
+    runs = []
+    real = graph._levels_from
+
+    def counted(adj, src):
+        runs.append(src)
+        return real(adj, src)
+
+    monkeypatch.setattr(graph, "_levels_from", counted)
+    return runs
 
 
 @st.composite

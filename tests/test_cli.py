@@ -154,19 +154,22 @@ def test_product_sweep_fails_at_n7(capsys):
 
 
 def test_memory_guard_refuses_before_any_distance_is_computed(monkeypatch, capsys):
-    from edimlab import graph, resolver
+    from edimlab import graph, resolver, theorems
 
     def unreachable(*args):
         raise AssertionError("a distance was computed past the memory guard")
 
-    # every distance comes from graph.bfs_levels, which resolver imports by name
-    # and calls through all_pairs_distances (solves) or directly (generator checks)
+    # every distance comes from graph.bfs_levels: a Graph's distances call it
+    # on first use (all_pairs_distances, diameter), and resolver imports it by
+    # name for the generator checks
     for module, name in ((graph, "bfs_levels"), (resolver, "bfs_levels"),
                          (resolver, "all_pairs_distances")):
         monkeypatch.setattr(module, name, unreachable)
-    # the spy is on the solvers' path: below the guard, a solve reaches it
+    # the spy is on the solvers' and the checks' path: below the guard, a
+    # solve, a diameter or a check reaches it on a fresh graph
     for solve in (resolver.metric_dimension, resolver.edge_metric_dimension,
-                  resolver.min_joint_cover, graph.all_pairs_distances):
+                  resolver.min_joint_cover, graph.all_pairs_distances, graph.diameter,
+                  theorems.check_vertex_count_bound):
         with pytest.raises(AssertionError, match="past the memory guard"):
             solve(path_graph(3))
     # edim of K_300: 300 landmarks x C(44850, 2) edge pairs, about 3.0e11 bits
@@ -177,6 +180,10 @@ def test_memory_guard_refuses_before_any_distance_is_computed(monkeypatch, capsy
     assert "bits of pair bitsets" in capsys.readouterr().err
     # dim of P_2100: 2100 landmarks x C(2100, 2) vertex pairs, about 4.6e9 bits
     assert main(["compute", "dim", "--construct", "path", "2100"]) == 2
+    assert "bits of pair bitsets" in capsys.readouterr().err
+    # a theorem check reads the graph's distances only through its solve
+    assert main(["verify", "vertex_bound", "--g", "path:2100"]) == 2
+    assert "bits of pair bitsets" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -197,6 +204,15 @@ def test_memory_guard_refuses_before_any_distance_is_computed(monkeypatch, capsy
         (("construct", "join", "4", "--g1", "path:2", "--g2", "path:1"), "positional"),
         (("compute", "joint", "--construct", "path", "3", "--all-bases"), "--all-bases"),
         (("compute", "dim", "--construct", "path", "3", "--format", "graph6"), "--format"),
+        # --threads is read by sweeps and survey only
+        (("--threads", "2", "compute", "dim", "--construct", "path", "3"), "--threads"),
+        (("--threads", "1", "compute", "joint", "--construct", "path", "3"), "--threads"),
+        (("--threads", "2", "construct", "F", "2"), "--threads"),
+        (("--threads", "2", "construct", "prod", "--g", "path:3", "--m", "2"), "--threads"),
+        (("--threads", "2", "verify", "ncondition", "--g", "path:5"), "--threads"),
+        (("--threads", "2", "verify", "product", "--g", "path:3", "--m", "2"), "--threads"),
+        (("--threads", "2", "verify", "fk", "--kmax", "2"), "--threads"),
+        (("--threads", "1", "verify", "hk", "--kmax", "1"), "--threads"),
     ],
 )
 def test_options_a_subcommand_does_not_read_exit_2(argv, option, capsys):

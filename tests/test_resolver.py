@@ -147,23 +147,20 @@ def test_min_joint_cover_requires_edges():
         min_joint_cover(build_graph(1, []))
 
 
-def test_joint_cover_tests_and_searches_its_graph_once(monkeypatch):
-    calls = {"is_connected": 0, "all_pairs_distances": 0}
-    for name in calls:
-        def counted(g, _fn=getattr(resolver, name), _name=name):
-            calls[_name] += 1
-            return _fn(g)
-        monkeypatch.setattr(resolver, name, counted)
+def test_joint_cover_tests_and_searches_its_graph_once(bfs_runs):
+    # one connectivity test from vertex 0, then one BFS from every vertex
     assert min_joint_cover(cycle(5)) == (2, ((0, 1), (0, 1)))
-    assert calls == {"is_connected": 1, "all_pairs_distances": 1}
+    assert bfs_runs == [0, 0, 1, 2, 3, 4]
 
 
 @given(connected_graphs(max_n=7))
 @settings(max_examples=40, deadline=None)
-def test_solves_from_a_shared_distance_matrix_match_fresh_ones(g):
-    dm = all_pairs_distances(g)
-    assert metric_dimension(g, True, dm) == metric_dimension(g, True)
-    assert edge_metric_dimension(g, True, dm) == edge_metric_dimension(g, True)
+def test_solves_on_a_graph_with_cached_distances_match_a_fresh_graph(g):
+    all_pairs_distances(g)
+    fresh = build_graph(g.n, g.edges)
+    assert g == fresh and hash(g) == hash(fresh)
+    assert metric_dimension(g, True) == metric_dimension(fresh, True)
+    assert edge_metric_dimension(g, True) == edge_metric_dimension(fresh, True)
 
 
 @given(connected_graphs(max_n=6))

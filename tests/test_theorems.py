@@ -143,6 +143,20 @@ def test_product_counterexample_to_the_minimum_bases_reading():
     )
 
 
+@pytest.mark.parametrize("check", [
+    check_vertex_count_bound, check_edge_count_bound,
+    check_corollary_diam_triangle, check_ncondition_theorem,
+])
+@pytest.mark.parametrize("g", [cycle(5), complete(4)], ids=["C5", "K4"])
+def test_a_check_tests_connectivity_once_and_runs_one_all_source_bfs(bfs_runs, check, g):
+    # the check's graph id, its solve and the diameter (reached on K_4 by
+    # corollary, where edim = n - 1) share one BFS per kind; a fresh copy,
+    # since the parametrized graph is shared between cases
+    g = build_graph(g.n, g.edges)
+    assert check(g).verdict == HOLDS
+    assert bfs_runs == [0, *range(g.n)]
+
+
 def test_reports_carry_graph_id_and_record_shape():
     report = check_ncondition_theorem(complete(4))
     assert report.graph == "C~"
