@@ -52,15 +52,9 @@ def construct_F(k: int) -> LabeledConstruction:
 
 
 def construct_H(k: int) -> LabeledConstruction:
-    """F_k plus one vertex t adjacent to everything."""
-    if not isinstance(k, int) or not 1 <= k <= MAX_FK_K:
-        raise KOutOfRangeError(f"k must be in 1..{MAX_FK_K}, got {k!r}")
+    """F_k joined with one vertex t, which is adjacent to everything."""
     base = construct_F(k)
-    n = base.graph.n + 1
-    t = n - 1
-    edges = list(base.graph.edges) + [(v, t) for v in range(t)]
-    edges.sort()
-    return LabeledConstruction(_graph_from_edges(n, tuple(edges)), base.labels + ("t",))
+    return LabeledConstruction(join(base.graph, build_graph(1, [])), base.labels + ("t",))
 
 
 def join(g1: Graph, g2: Graph) -> Graph:

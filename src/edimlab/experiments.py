@@ -31,7 +31,7 @@ from operator import or_
 from ._par import item_blocks, run_blocks
 from .errors import BadParamsError, NTooLargeError
 from .formats import write_graph6
-from .graph import Graph, _graph_from_edges, is_connected
+from .graph import Graph, _graph_from_edges, _levels_from, is_connected
 from .resolver import edge_metric_dimension, metric_dimension
 
 MAX_ENUM_N = 8
@@ -183,17 +183,12 @@ def _orbit_minima(adj) -> list[int]:
 
 def _pieces_without(adj, u: int) -> list[int]:
     """The components, as vertex masks, of the graph with vertex u removed."""
-    left = (1 << len(adj)) - 1 & ~(1 << u)
+    keep = ~(1 << u)
+    rest = [a & keep for a in adj]
+    left = (1 << len(adj)) - 1 & keep
     pieces = []
     while left:
-        piece = frontier = left & -left
-        while frontier:
-            reach = 0
-            for v in range(len(adj)):
-                if frontier >> v & 1:
-                    reach |= adj[v]
-            frontier = reach & left & ~piece
-            piece |= frontier
+        piece = _levels_from(rest, (left & -left).bit_length() - 1)[1]
         pieces.append(piece)
         left &= ~piece
     return pieces

@@ -2,8 +2,9 @@
 
 Edges are stored canonically as (min, max) pairs sorted ascending, so two
 graphs compare equal exactly when they have the same vertex count and edge
-set.  Adjacency is kept both as sorted neighbour tuples and as per-vertex
-bitmasks; the bitmasks are what the search kernels and BFS operate on.
+set.  Adjacency is stored once, as per-vertex bitmasks, which the search
+kernels and BFS operate on; the sorted neighbour tuples of `adjacency` are
+read off them on first use.
 
 `bfs_levels` is the one distance kernel: a BFS over the adjacency masks
 that returns, per source, the mask of the vertices at each distance.  The
@@ -35,7 +36,6 @@ MAX_VERTICES = 4096
 class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...] = field(compare=False)
     adj_bits: tuple[int, ...] = field(compare=False)
 
     def __repr__(self) -> str:
@@ -46,10 +46,14 @@ class Graph:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.adj_bits[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj_bits[u] >> v & 1)
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(bits_of(a)) for a in self.adj_bits)
 
     @cached_property
     def connected(self) -> bool:
@@ -92,16 +96,11 @@ def bits_of(mask: int):
 
 def _graph_from_edges(n: int, edges: tuple[tuple[int, int], ...]) -> Graph:
     # Trusted path: edges must already be canonical (u < v), sorted, duplicate-free.
-    adj: list[list[int]] = [[] for _ in range(n)]
     adj_bits = [0] * n
     for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
         adj_bits[u] |= 1 << v
         adj_bits[v] |= 1 << u
-    for row in adj:
-        row.sort()
-    return Graph(n, edges, tuple(tuple(row) for row in adj), tuple(adj_bits))
+    return Graph(n, edges, tuple(adj_bits))
 
 
 def build_graph(n: int, edge_pairs) -> Graph:
@@ -197,7 +196,7 @@ def diameter(g: Graph) -> int:
 
 
 def max_degree(g: Graph) -> int:
-    return max((len(row) for row in g.adjacency), default=0)
+    return max((a.bit_count() for a in g.adj_bits), default=0)
 
 
 def edge_vertex_distance(dm: DistanceMatrix, e: tuple[int, int], v: int) -> int:

@@ -165,7 +165,7 @@ def check_max_degree_lemmas(g: Graph) -> TheoremReport:
     if max_degree(g) < g.n - 1:
         return TheoremReport("degree_lemmas", gid, HOLDS)
     edim = edge_metric_dimension(g).value
-    universal = sum(1 for row in g.adjacency if len(row) == g.n - 1)
+    universal = sum(1 for a in g.adj_bits if a.bit_count() == g.n - 1)
     if edim not in (g.n - 1, g.n - 2) or (universal >= 2 and edim != g.n - 1):
         return TheoremReport(
             "degree_lemmas", gid, FAILS,

@@ -39,15 +39,25 @@ def star(leaves):
     return standard_family("star", [leaves])
 
 
+def neighbours_from_edges(g):
+    """Neighbour sets read off g.edges alone, not off the adjacency bitmasks."""
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
 def bfs_oracle(g):
     """Dict-based BFS, independent of the bitmask implementation under test."""
+    nbrs = neighbours_from_edges(g)
     dists = {}
     for src in range(g.n):
         dist = {src: 0}
         queue = collections.deque([src])
         while queue:
             v = queue.popleft()
-            for w in g.adjacency[v]:
+            for w in nbrs[v]:
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     queue.append(w)

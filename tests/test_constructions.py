@@ -72,6 +72,15 @@ def test_construct_H_adds_universal_vertex():
     assert h2.degree(5) == 6
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_construct_H_is_F_joined_with_one_vertex(k):
+    f, got = construct_F(k), construct_H(k)
+    t = f.graph.n
+    listed = sorted([*f.graph.edges, *((v, t) for v in range(t))])
+    assert got.graph == join(f.graph, build_graph(1, [])) == build_graph(t + 1, listed)
+    assert got.labels == (*f.labels, "t")
+
+
 def test_join_examples():
     k1 = build_graph(1, [])
     assert join(k1, k1) == complete(2)

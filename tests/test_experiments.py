@@ -21,7 +21,7 @@ from edimlab import (
     survey_triples,
     write_graph6,
 )
-from edimlab.experiments import _automorphisms, _class_levels, _graph_of_mask
+from edimlab.experiments import _automorphisms, _class_levels, _graph_of_mask, _pieces_without
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
 
@@ -135,6 +135,19 @@ def test_automorphisms_are_the_permutations_fixing_the_graph():
             auts = _automorphisms(g.adj_bits)
             assert len(auts) == len(fixing) == canonical_mask(n, g.adj_bits)[1]
             assert set(auts) == fixing
+
+
+def test_pieces_without_are_the_networkx_components():
+    nx = pytest.importorskip("networkx")
+    for n, classes in _class_levels(6):
+        for mask, _ in classes:
+            g = _graph_of_mask(n, mask)
+            h = nx.Graph(g.edges)
+            h.add_nodes_from(range(n))
+            for u in range(n):
+                h_u = h.subgraph(set(range(n)) - {u})
+                want = [sum(1 << v for v in c) for c in nx.connected_components(h_u)]
+                assert _pieces_without(g.adj_bits, u) == sorted(want, key=lambda m: m & -m)
 
 
 def test_classes_match_the_networkx_atlas():

@@ -2,6 +2,7 @@ from operator import add
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edimlab import (
     BadParamsError,
@@ -23,7 +24,7 @@ from edimlab import (
 )
 from edimlab.graph import MAX_VERTICES
 
-from conftest import bfs_oracle, complete, connected_graphs, cycle, path, star
+from conftest import bfs_oracle, complete, connected_graphs, cycle, neighbours_from_edges, path, star
 
 
 def test_build_canonicalizes_edges():
@@ -31,6 +32,29 @@ def test_build_canonicalizes_edges():
     assert g.edges == ((0, 1), (1, 2))
     assert g.adjacency == ((1,), (0, 2), (1,))
     assert g == build_graph(3, [(0, 1), (1, 2)])
+
+
+@st.composite
+def _graph_inputs(draw):
+    """build_graph arguments on 1..8 vertices, any edge subset in any order:
+    isolated vertices included."""
+    n = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return n, [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+
+
+@given(_graph_inputs())
+@settings(max_examples=60, deadline=None)
+def test_adjacency_degree_and_max_degree_follow_the_edges(inputs):
+    g, twin = build_graph(*inputs), build_graph(*inputs)
+    before = hash(g)
+    nbrs = neighbours_from_edges(g)
+    assert g.adjacency == tuple(tuple(sorted(row)) for row in nbrs)
+    assert [g.degree(v) for v in range(g.n)] == [len(row) for row in nbrs]
+    assert max_degree(g) == max(map(len, nbrs))
+    # adjacency is derived state: reading it leaves == and hash alone
+    assert g == twin and hash(g) == before == hash(twin)
 
 
 def test_build_rejects_self_loop():
@@ -198,9 +222,10 @@ def test_non_mutual_neighbors_rejects_same_vertex():
 @given(connected_graphs())
 @settings(max_examples=40, deadline=None)
 def test_non_mutual_is_symmetric_difference(g):
+    nbrs = neighbours_from_edges(g)
     for v1 in range(g.n):
         for v2 in range(v1 + 1, g.n):
             got = non_mutual_neighbors(g, v1, v2)
-            n1, n2 = set(g.adjacency[v1]), set(g.adjacency[v2])
+            n1, n2 = nbrs[v1], nbrs[v2]
             assert got == (n1 | n2) - (n1 & n2)
             assert got == non_mutual_neighbors(g, v2, v1)

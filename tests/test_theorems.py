@@ -32,7 +32,7 @@ from edimlab import (
 from edimlab import theorems
 from edimlab.theorems import FAILS, HOLDS, NOT_APPLICABLE, TheoremReport
 
-from conftest import complete, cycle, path, star
+from conftest import complete, cycle, neighbours_from_edges, path, star
 
 
 def test_full_edim_condition_examples():
@@ -47,11 +47,9 @@ def test_full_edim_condition_fails_on_F2_at_the_predicted_pair():
     assert not ok
     # direct recheck for the empty-set / full-set clique pair (indices 2 and 5):
     # a hub must be adjacent to 2, to 5, and to every non-mutual neighbour
-    need = set(g.adjacency[2]) ^ set(g.adjacency[5])
-    hubs = [
-        u for u in range(g.n)
-        if g.has_edge(u, 2) and g.has_edge(u, 5) and need <= set(g.adjacency[u])
-    ]
+    nbrs = neighbours_from_edges(g)
+    need = nbrs[2] ^ nbrs[5]
+    hubs = [u for u in range(g.n) if {2, 5} | need <= nbrs[u]]
     assert hubs == []
 
 
