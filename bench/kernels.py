@@ -1,0 +1,73 @@
+"""Best-of-R seconds of the pair-bitset kernels of the exact solvers.
+
+    python3 bench/kernels.py [--repeat R] [--fk K [K ...]]
+
+Times resolver._edge_levels, resolver._pair_bitsets and
+resolver._minimal_separators on fixed inputs: the Cartesian product with
+P_2 of the first product6 graph of seed 0, hard_gnp graph 0 of seed 0
+(both from perfbench/gen.py), and F_k for each K of --fk (default 4 and 5).
+Each kernel runs on the levels of the dim problem and of the edim problem
+(_edge_levels on edim only).  The graph's distances are computed before
+any timing.  Prints one tab-separated line per input, problem and kernel:
+input, problem, objects, kernel, best seconds.  Needs only the standard
+library and this checkout's src/.
+"""
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import gen  # noqa: E402
+from edimlab import resolver  # noqa: E402
+from edimlab.constructions import cartesian_path, construct_F  # noqa: E402
+from edimlab.graph import all_pairs_distances, build_graph, level_rows  # noqa: E402
+
+
+def best_of(repeat: int, fn, *args):
+    """(best seconds over `repeat` calls, result of the last call)."""
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        best = min(best, time.perf_counter() - t0)
+    return best, out
+
+
+def inputs(fk):
+    n, edges = gen.product6_graphs(0)[0]
+    yield "product", cartesian_path(build_graph(n, edges), 2).graph
+    n, edges = gen.hard_gnp_graphs(0)[0]
+    yield "hard_gnp0", build_graph(n, edges)
+    for k in fk:
+        yield f"F_{k}", construct_F(k).graph
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--repeat", type=int, default=10, help="calls per kernel; the best is printed")
+    ap.add_argument("--fk", type=int, nargs="+", default=[4, 5], metavar="K")
+    args = ap.parse_args()
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
+    for name, g in inputs(args.fk):
+        levels = all_pairs_distances(g).levels
+        for problem in ("dim", "edim"):
+            n_obj = g.n
+            obj_levels = levels
+            if problem == "edim":
+                n_obj = g.m
+                secs, obj_levels = best_of(args.repeat, resolver._edge_levels, g, levels)
+                print(f"{name}\t{problem}\t{n_obj}\t_edge_levels\t{secs:.6g}", flush=True)
+            secs, (bits, universe) = best_of(args.repeat, resolver._pair_bitsets, obj_levels, n_obj)
+            print(f"{name}\t{problem}\t{n_obj}\t_pair_bitsets\t{secs:.6g}", flush=True)
+            rows = level_rows(obj_levels, n_obj)
+            secs, _ = best_of(args.repeat, resolver._minimal_separators, bits, universe, rows, n_obj)
+            print(f"{name}\t{problem}\t{n_obj}\t_minimal_separators\t{secs:.6g}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

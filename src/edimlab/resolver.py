@@ -5,8 +5,9 @@ pairwise distinct, and resolves the edge set when the edge-to-landmark
 distance tuples are pairwise distinct.  The solver reduces both problems to
 hitting every object pair with a landmark that separates it: for each
 candidate landmark v it builds a big-integer bitset whose bit p is set
-exactly when v separates the p-th object pair (pairs (i, j) with i < j,
-indexed lexicographically).  A set S is a generator iff the union of its
+exactly when v separates the p-th object pair: pair (i, j) with i < j is
+bit i * (objects + 1) + j, so the pairs are the bits above the diagonal of
+a grid with one spare column.  A set S is a generator iff the union of its
 bitsets covers every pair.
 
 The bitsets come straight from the BFS level masks that
@@ -44,11 +45,11 @@ since each separator set contains a minimal one.  So the covers of each
 size are the same family, listed by the same generator in the same order,
 and the value, the witness and the bases are those of the full instance.
 
-The bitsets take landmarks x C(objects, 2) bits; a solve that would need
-more than MAX_PAIR_BITS raises NTooLargeError before it computes anything.
+A solve whose landmarks x C(objects, 2) exceeds MAX_PAIR_BITS raises
+NTooLargeError before it computes anything; the bitsets take about twice
+that, landmarks x objects x (objects + 1) bits.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -73,9 +74,10 @@ from .graph import (
 # from 10^5 up.  All graphs with n <= 6 stay on the scans (C(6, 4) = 15).
 BRANCH_AND_BOUND_MIN_SUBSETS = 50_000
 
-# The pair bitsets take landmarks x C(objects, 2) bits, and inputs past this
-# many (512 MiB) are refused before any distance is computed.  F_6 and H_6
-# need about 1.9e8 bits; `complete 300` would need 3.0e11 for edim.
+# Inputs whose landmarks x C(objects, 2) exceeds this are refused before any
+# distance is computed.  The bitsets are about twice as wide (objects + 1 bits
+# a row), so at the cap they take about 1 GiB.  F_6 and H_6 count about 1.9e8
+# bits; `complete 300` would count 3.0e11 for edim.
 MAX_PAIR_BITS = 1 << 32
 
 
@@ -154,37 +156,31 @@ def is_edge_generator(g: Graph, s) -> bool:
     return _is_generator(g, s, g.m, lambda levels: _edge_levels(g, levels))
 
 
-def _pair_offsets(n_obj: int) -> list[int]:
-    # offsets[i] = index of pair (i, i+1) in the lexicographic pair ordering
-    off = [0] * n_obj
-    for i in range(1, n_obj):
-        off[i] = off[i - 1] + n_obj - i
-    return off
+def _spaced(count: int, gap: int) -> int:
+    """One bit every `gap` bits: the sum of 2^(k * gap) for k < count."""
+    return ((1 << count * gap) - 1) // ((1 << gap) - 1)
 
 
 def _pair_bitsets(levels: list[list[int]], n_obj: int) -> tuple[list[int], int]:
     """levels[v][d] = mask of the objects at distance d from landmark v.
 
-    Returns per-landmark bitsets over object pairs plus the full-universe
-    mask.  Bits are set for separated pairs.  The complement (pairs at equal
-    distance) comes from the level masks: for each object i of a level mask
-    M, the pairs (i, j) with j > i in M are the bits of M >> (i + 1), placed
-    at the index of pair (i, i + 1).
+    Returns per-landmark bitsets of the separated pairs, and the universe:
+    pair (i, j) with i < j is bit i * (n_obj + 1) + j, monotone in (i, j)
+    like the lexicographic rank.  Per level mask M, M * rep copies M into
+    every row, `& diag` keeps the diagonal bits of M's rows, and M times
+    that puts M in those rows: the pairs at equal distance, carry-free.
     """
-    npairs = n_obj * (n_obj - 1) // 2
-    universe = (1 << npairs) - 1
-    off = _pair_offsets(n_obj)
+    if n_obj < 2:
+        return [0] * len(levels), 0
+    rep, diag = _spaced(n_obj, n_obj), _spaced(n_obj, n_obj + 1)
+    # row i: 2^(i * (n_obj + 1)) * (2^n_obj - 2^(i + 1)), the bits of j > i
+    universe = (diag << n_obj) - (_spaced(n_obj, n_obj + 2) << 1)
     bits = []
     for masks in levels:
         same = 0
         for mask in masks:
-            # the last object of a level starts no pair
-            while mask & (mask - 1):
-                low = mask & -mask
-                mask ^= low
-                i = low.bit_length() - 1
-                same |= (mask >> (i + 1)) << off[i]
-        bits.append(universe ^ same)
+            same |= mask * (mask * rep & diag)
+        bits.append(universe ^ (universe & same))
     return bits, universe
 
 
@@ -271,7 +267,6 @@ def _minimal_separators(bits: list[int], universe: int, rows, n_obj: int) -> tup
     bitsets), duplicates included.  A pair with fewer separators came
     earlier, so every kept set is minimal.
     """
-    off = _pair_offsets(n_obj)
     cols = list(zip(*rows))
     landmarks = range(len(bits))
     counts = _separator_counts(bits)
@@ -285,9 +280,8 @@ def _minimal_separators(bits: list[int], universe: int, rows, n_obj: int) -> tup
         for k, s in enumerate(counts):
             cls &= s if c >> k & 1 else universe ^ s
         while cls:
-            p = cls.bit_length() - 1
-            i = bisect_right(off, p) - 1
-            ci, cj = cols[i], cols[p - off[i] + i + 1]
+            i, j = divmod(cls.bit_length() - 1, n_obj + 1)
+            ci, cj = cols[i], cols[j]
             sep = 0
             struck = universe
             for v in landmarks:
@@ -446,11 +440,13 @@ def min_joint_cover(g: Graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ..
     _check_pair_bits(g.n, g.m)
     vres = metric_dimension(g, True)
     eres = edge_metric_dimension(g, True)
+    # the bases come in lexicographic order: the first pair at the least size is the least
+    t_masks = [(sum(1 << v for v in t), t) for t in eres.all_bases]
     best = None
     for s in vres.all_bases:
-        s_set = set(s)
-        for t in eres.all_bases:
-            key = (len(s_set | set(t)), s, t)
-            if best is None or key < best:
-                best = key
+        s_mask = sum(1 << v for v in s)
+        for t_mask, t in t_masks:
+            size = (s_mask | t_mask).bit_count()
+            if best is None or size < best[0]:
+                best = size, s, t
     return best[0], (best[1], best[2])

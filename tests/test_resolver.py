@@ -1,7 +1,9 @@
 import random
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edimlab import resolver
 from edimlab import (
@@ -12,6 +14,7 @@ from edimlab import (
     all_pairs_distances,
     build_graph,
     cartesian_path,
+    connected_classes,
     construct_F,
     edge_metric_dimension,
     edge_signature,
@@ -22,6 +25,7 @@ from edimlab import (
     min_joint_cover,
     vertex_signature,
 )
+from edimlab.experiments import _graph_of_mask
 from edimlab.graph import level_rows
 from edimlab.reference import edge_metric_dimension_naive, metric_dimension_naive
 
@@ -287,14 +291,54 @@ def test_level_bitsets_match_brute_force_separation():
             seps = _separator_sets(g)
             for kind, (levels, n_obj) in _object_levels(g).items():
                 bits, universe = resolver._pair_bitsets(levels, n_obj)
-                assert universe == (1 << len(seps[kind])) - 1
-                assert bits == [sum(1 << k for k, s in enumerate(seps[kind]) if v in s) for v in range(n)]
+                # pair (i, j), i < j, is bit i * (n_obj + 1) + j
+                pos = [i * (n_obj + 1) + j for i in range(n_obj) for j in range(i + 1, n_obj)]
+                assert universe == sum(1 << q for q in pos)
+                assert bits == [sum(1 << q for q, s in zip(pos, seps[kind]) if v in s) for v in range(n)]
                 # landmark-only generator checks against signatures over all-pairs rows
                 for s in [(), (0,), tuple(range(n))] + [
                     tuple(sorted(rng.sample(range(n), rng.randint(1, n)))) for _ in range(6)
                 ]:
                     distinct = len({signature[kind](dm, o, s) for o in objects[kind]}) == n_obj
                     assert generator[kind](g, s) == distinct, (g.edges, kind, s)
+
+
+@st.composite
+def _level_partitions(draw):
+    """(object count, per landmark a partition of the objects into level labels)."""
+    n_obj = draw(st.integers(0, 40))
+    labels = st.lists(st.integers(0, 4), min_size=n_obj, max_size=n_obj)
+    return n_obj, draw(st.lists(labels, min_size=1, max_size=3))
+
+
+@given(_level_partitions())
+@example((0, [[]]))
+@example((1, [[0]]))
+@example((2, [[0, 0], [0, 1]]))
+@settings(max_examples=200, deadline=None)
+def test_pair_bitsets_separate_exactly_the_pairs_in_different_levels(case):
+    n_obj, partitions = case
+    levels = [
+        [m for m in (sum(1 << o for o, d in enumerate(lab) if d == level) for level in range(5)) if m]
+        for lab in partitions
+    ]
+    bits, universe = resolver._pair_bitsets(levels, n_obj)
+    above = {i * (n_obj + 1) + j: (i, j) for i in range(n_obj) for j in range(i + 1, n_obj)}
+    assert universe.bit_count() == len(above) == n_obj * (n_obj - 1) // 2
+    assert universe == sum(1 << q for q in above)
+    for lab, b in zip(partitions, bits):
+        assert b & ~universe == 0
+        assert {q for q in above if b >> q & 1} == {q for q, (i, j) in above.items() if lab[i] != lab[j]}
+
+
+def test_min_joint_cover_is_the_least_pair_of_bases():
+    # brute force over every pair of minimum bases: least (|S ∪ T|, S, T)
+    for n in range(2, 6):
+        for mask, _ in connected_classes(n):
+            g = _graph_of_mask(n, mask)
+            pairs = product(metric_dimension(g, True).all_bases, edge_metric_dimension(g, True).all_bases)
+            k, s, t = min((len(set(s) | set(t)), s, t) for s, t in pairs)
+            assert min_joint_cover(g) == (k, (s, t)), mask
 
 
 def test_minimal_separators_are_the_inclusion_minimal_sets():
