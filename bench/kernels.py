@@ -7,15 +7,20 @@ resolver._minimal_separators on fixed inputs: the Cartesian product with
 P_2 of the first product6 graph of seed 0, hard_gnp graph 0 of seed 0
 (both from perfbench/gen.py), and F_k for each K of --fk (default 4 and 5).
 Each kernel runs on the levels of the dim problem and of the edim problem
-(_edge_levels on edim only).  The graph's distances are computed before
+(_edge_levels on edim only).  On the product, the edim problem also times
+constructions._path_product_edge_levels, the same edge levels composed
+from the factor's distances.  The graphs' distances are computed before
 any timing.  Prints one tab-separated line per input, problem and kernel:
-input, problem, objects, kernel, best seconds.  Needs only the standard
+input, problem, objects, kernel, best seconds.  Each K must be at least 1
+and F_K's edim must fit the solvers' pair-bit cap (K <= 6); any other K
+exits 2 before anything is built or timed.  Needs only the standard
 library and this checkout's src/.
 """
 
 import argparse
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,7 +28,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import gen  # noqa: E402
 from edimlab import resolver  # noqa: E402
-from edimlab.constructions import cartesian_path, construct_F  # noqa: E402
+from edimlab.constructions import _path_product_edge_levels, cartesian_path, construct_F  # noqa: E402
+from edimlab.errors import NTooLargeError  # noqa: E402
 from edimlab.graph import all_pairs_distances, build_graph, level_rows  # noqa: E402
 
 
@@ -37,13 +43,29 @@ def best_of(repeat: int, fn, *args):
     return best, out
 
 
+def check_fk(k: int) -> None:
+    """Raise ValueError unless F_k exists and its edim fits the pair-bit cap."""
+    if k < 1:
+        raise ValueError(f"--fk {k}: K must be at least 1")
+    # F_k: cliques on k and 2^k vertices, and b_i adjacent to the 2^(k-1) a_S with i in S
+    n = k + (1 << k)
+    edges = comb(k, 2) + comb(1 << k, 2) + k * (1 << k - 1)
+    try:
+        resolver._check_pair_bits(n, edges)
+    except NTooLargeError as err:
+        raise ValueError(f"--fk {k}: {err}") from None
+
+
 def inputs(fk):
+    """(name, graph, factor): factor is the graph whose product with P_2 is
+    graph, or None."""
     n, edges = gen.product6_graphs(0)[0]
-    yield "product", cartesian_path(build_graph(n, edges), 2).graph
+    factor = build_graph(n, edges)
+    yield "product", cartesian_path(factor, 2).graph, factor
     n, edges = gen.hard_gnp_graphs(0)[0]
-    yield "hard_gnp0", build_graph(n, edges)
+    yield "hard_gnp0", build_graph(n, edges), None
     for k in fk:
-        yield f"F_{k}", construct_F(k).graph
+        yield f"F_{k}", construct_F(k).graph, None
 
 
 def main() -> None:
@@ -53,8 +75,15 @@ def main() -> None:
     args = ap.parse_args()
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
-    for name, g in inputs(args.fk):
+    for k in args.fk:
+        try:
+            check_fk(k)
+        except ValueError as err:
+            ap.error(str(err))
+    for name, g, factor in inputs(args.fk):
         levels = all_pairs_distances(g).levels
+        if factor is not None:
+            all_pairs_distances(factor)
         for problem in ("dim", "edim"):
             n_obj = g.n
             obj_levels = levels
@@ -62,6 +91,9 @@ def main() -> None:
                 n_obj = g.m
                 secs, obj_levels = best_of(args.repeat, resolver._edge_levels, g, levels)
                 print(f"{name}\t{problem}\t{n_obj}\t_edge_levels\t{secs:.6g}", flush=True)
+                if factor is not None:
+                    secs, _ = best_of(args.repeat, _path_product_edge_levels, factor, 2)
+                    print(f"{name}\t{problem}\t{n_obj}\t_path_product_edge_levels\t{secs:.6g}", flush=True)
             secs, (bits, universe) = best_of(args.repeat, resolver._pair_bitsets, obj_levels, n_obj)
             print(f"{name}\t{problem}\t{n_obj}\t_pair_bitsets\t{secs:.6g}", flush=True)
             rows = level_rows(obj_levels, n_obj)

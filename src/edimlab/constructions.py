@@ -11,13 +11,30 @@ construct_H(k): F_k joined with a single extra vertex t at index k + 2^k.
 
 cartesian_path(g, m): the Cartesian product of g with a path on m copies;
 copy i (1-based) of vertex v sits at index (i-1)*n + v, labeled "v(i)".
+
+path_product_edim(g, m): edim(g x P_m), value and witness equal to those of
+`edge_metric_dimension(cartesian_path(g, m).graph)`, solved without a BFS
+on the product.  Distances add across the factors, d((u, i), (v, j)) =
+d_g(u, v) + |i - j|, so from landmark (u, i) an edge of copy j lies at
+its distance from u in g plus |i - j|, and the rung (v, j)-(v, j+1) at
+d_g(u, v) plus the distance from i to {j, j+1}.  The product's edge
+levels are therefore g's BFS level masks and g's edge levels, shifted.
+Copies count from 0 here: landmark (u, i) keeps cartesian_path's index
+i*n + u.  The objects are numbered by copy, then rungs: edge k of g in
+copy j is object j*|E| + k, and the rung (v, j)-(v, j+1) is object
+m*|E| + j*n + v.  The value and the witness do not depend on how the
+objects are numbered.  It refuses what the generic solve refuses, before
+reading any distance: a bad m, a product over the vertex cap, a
+disconnected g, and a product over the solvers' pair-bit cap.  The
+product check solves the product this way; only its witness check builds
+the product, and BFSes from the witness.
 """
 
 from dataclasses import dataclass
 
-from .errors import BadParamsError, KOutOfRangeError, MTooSmallError, NoEdgesError
-from .graph import MAX_VERTICES, Graph, _graph_from_edges, build_graph
-from .resolver import min_joint_cover
+from .errors import BadParamsError, DisconnectedError, KOutOfRangeError, MTooSmallError, NoEdgesError
+from .graph import MAX_VERTICES, Graph, _graph_from_edges, build_graph, is_connected
+from .resolver import DimensionResult, _check_pair_bits, _edge_levels, _minimum_cover, min_joint_cover
 
 MAX_FK_K = 11  # 2^k + k (+1 for H_k) must stay within MAX_VERTICES
 
@@ -76,13 +93,19 @@ def _check_path_copies(m) -> None:
         raise MTooSmallError(f"need at least 2 path copies, got {m!r}")
 
 
-def cartesian_path(g: Graph, m: int) -> LabeledConstruction:
-    """Cartesian product of g with a path on m copies (m >= 2)."""
+def _product_order(n: int, m) -> int:
+    """Vertex count of an n-vertex graph times an m-copy path, within the caps."""
     _check_path_copies(m)
-    n = g.n
     total = n * m
     if total > MAX_VERTICES:
         raise BadParamsError(f"product would have {total} vertices, cap is {MAX_VERTICES}")
+    return total
+
+
+def cartesian_path(g: Graph, m: int) -> LabeledConstruction:
+    """Cartesian product of g with a path on m copies (m >= 2)."""
+    n = g.n
+    total = _product_order(n, m)
     edges = []
     for i in range(m):
         base = i * n
@@ -92,6 +115,50 @@ def cartesian_path(g: Graph, m: int) -> LabeledConstruction:
     edges.sort()
     labels = tuple(f"{v}({i + 1})" for i in range(m) for v in range(n))
     return LabeledConstruction(_graph_from_edges(total, tuple(edges)), labels)
+
+
+def path_product_edim(g: Graph, m: int) -> DimensionResult:
+    """Minimum edge generator of g x P_m, from g's distances (module docstring)."""
+    total = _product_order(g.n, m)
+    if not is_connected(g):
+        raise DisconnectedError("edge metric dimension requires a connected graph")
+    n_obj = m * g.m + (m - 1) * g.n
+    _check_pair_bits(total, n_obj)
+    return _minimum_cover(_path_product_edge_levels(g, m), n_obj, False)
+
+
+def _path_product_edge_levels(g: Graph, m: int) -> list[list[int]]:
+    """Edge masks of g x P_m by distance from each of its vertices, read off
+    g's distances; objects and landmarks numbered as in the module docstring."""
+    n, size = g.n, g.m
+    rungs = m * size
+    n_obj = rungs + (m - 1) * n
+    vlevels = g.distances.levels
+    elevels = _edge_levels(g, vlevels)
+    # u's edge and vertex levels, each packed in one integer with level d at bit d * n_obj
+    packed = []
+    for u in range(n):
+        edges = verts = 0
+        for d, (e_mask, v_mask) in enumerate(zip(elevels[u], vlevels[u])):
+            edges |= e_mask << d * n_obj
+            verts |= v_mask << d * n_obj
+        packed.append((edges, verts))
+    full = (1 << n_obj) - 1
+    levels = []
+    for i in range(m):
+        # copy j lies |i - j| levels beyond copy i, rung j as far as i is from {j, j + 1}
+        e_shifts = [abs(i - j) * n_obj + j * size for j in range(m)]
+        r_shifts = [max(j - i, i - 1 - j, 0) * n_obj + rungs + j * n for j in range(m - 1)]
+        extra = max(i, m - 1 - i)
+        for u in range(n):
+            edges, verts = packed[u]
+            acc = 0
+            for shift in e_shifts:
+                acc |= edges << shift
+            for shift in r_shifts:
+                acc |= verts << shift
+            levels.append([acc >> d * n_obj & full for d in range(len(vlevels[u]) + extra)])
+    return levels
 
 
 def product_upper_witness(g: Graph, m: int) -> set[int]:

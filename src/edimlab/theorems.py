@@ -24,6 +24,7 @@ from .constructions import (
     construct_F,
     construct_H,
     join,
+    path_product_edim,
     witness_from_joint_cover,
 )
 from .errors import DisconnectedError, KOutOfRangeError
@@ -245,10 +246,9 @@ def check_product_theorem(g: Graph, m: int) -> TheoremReport:
     _check_path_copies(m)
     gid = f"{_graph_id(g)} m={m}"
     k, cover = min_joint_cover(g)
-    product = cartesian_path(g, m).graph
-    edim = edge_metric_dimension(product).value
+    edim = path_product_edim(g, m).value
     witness = witness_from_joint_cover(g, m, cover)
-    witness_ok = is_edge_generator(product, witness)
+    witness_ok = is_edge_generator(cartesian_path(g, m).graph, witness)
     if k <= edim <= k + 1 and witness_ok:
         return TheoremReport("product", gid, HOLDS)
     return TheoremReport(

@@ -1,16 +1,20 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edimlab import (
     BadParamsError,
+    DisconnectedError,
     KOutOfRangeError,
     MTooSmallError,
+    NTooLargeError,
     all_pairs_distances,
     build_graph,
     cartesian_path,
+    connected_classes,
     construct_F,
     construct_H,
+    edge_metric_dimension,
     is_edge_generator,
     join,
     max_degree,
@@ -18,7 +22,10 @@ from edimlab import (
     product_upper_witness,
     standard_family,
 )
-from edimlab.constructions import MAX_FK_K
+from edimlab.constructions import MAX_FK_K, _path_product_edge_levels, path_product_edim
+from edimlab.experiments import _graph_of_mask
+from edimlab.graph import level_rows
+from edimlab.resolver import _edge_levels
 
 from conftest import complete, connected_graphs, cycle, path
 
@@ -123,6 +130,67 @@ def test_cartesian_distance_law(g, m):
             for v in range(g.n):
                 for w in range(g.n):
                     assert dp[i * g.n + v][j * g.n + w] == dg[v][w] + abs(i - j)
+
+
+@given(connected_graphs(min_n=1, max_n=6), st.integers(2, 4))
+@settings(max_examples=30, deadline=None)
+@example(g=build_graph(1, []), m=3)
+def test_path_product_edge_levels_are_the_products_edge_levels(g, m):
+    prod = cartesian_path(g, m).graph
+    # object number of each product edge: copy j's edge k, then rung (v, j)
+    number = {}
+    for j in range(m):
+        for k, (x, y) in enumerate(g.edges):
+            number[(j * g.n + x, j * g.n + y)] = j * g.m + k
+        if j + 1 < m:
+            for v in range(g.n):
+                number[(j * g.n + v, (j + 1) * g.n + v)] = m * g.m + j * g.n + v
+    assert sorted(number.values()) == list(range(prod.m))
+    want = level_rows(_edge_levels(prod, all_pairs_distances(prod).levels), prod.m)
+    got = level_rows(_path_product_edge_levels(g, m), prod.m)
+    for row, want_row in zip(got, want, strict=True):
+        assert [row[number[e]] for e in prod.edges] == list(want_row)
+
+
+def test_path_product_edim_equals_the_generic_solve_on_every_class():
+    for n in range(1, 7):
+        for mask, _ in connected_classes(n):
+            g = _graph_of_mask(n, mask)
+            for m in (2, 3):
+                assert path_product_edim(g, m) == edge_metric_dimension(cartesian_path(g, m).graph), (n, mask, m)
+
+
+@given(connected_graphs(min_n=1, max_n=8), st.integers(2, 4))
+@settings(max_examples=30, deadline=None)
+@example(g=build_graph(1, []), m=2)  # the product is P_2, one edge
+@example(g=build_graph(1, []), m=4)
+@example(g=path(2), m=3)
+def test_path_product_edim_equals_the_generic_solve(g, m):
+    assert path_product_edim(g, m) == edge_metric_dimension(cartesian_path(g, m).graph)
+
+
+def test_path_product_edim_refuses_what_the_generic_solve_refuses():
+    k100 = complete(100)
+    disconnected = [build_graph(2, []), build_graph(4, [(0, 1), (2, 3)]), build_graph(101, k100.edges)]
+    for g in disconnected:
+        for solve in (path_product_edim, lambda g, m: edge_metric_dimension(cartesian_path(g, m).graph)):
+            # connectivity is tested before the pair-bit cap, which K_100 + K_1 exceeds
+            with pytest.raises(DisconnectedError):
+                solve(g, 2)
+    with pytest.raises(MTooSmallError):
+        path_product_edim(path(3), 1)
+    with pytest.raises(BadParamsError):
+        path_product_edim(path(2049), 2)
+    # 200 landmarks x C(2 * 4950 + 100, 2) is about 1.0e10 pair bits
+    with pytest.raises(NTooLargeError):
+        edge_metric_dimension(cartesian_path(k100, 2).graph)
+
+
+def test_path_product_edim_tests_the_cap_before_reading_distances(bfs_runs):
+    # on a fresh K_100: only g's connectivity test, no all-source BFS
+    with pytest.raises(NTooLargeError):
+        path_product_edim(complete(100), 2)
+    assert bfs_runs == [0]
 
 
 def test_standard_families():
