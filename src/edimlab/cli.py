@@ -312,9 +312,6 @@ def main(argv=None) -> int:
         if args.threads is not None and args.threads < 1:
             raise BadParamsError(f"--threads must be at least 1, got {args.threads}")
         return args.fn(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DisconnectedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -74,11 +74,16 @@ def construct_H(k: int) -> LabeledConstruction:
     return LabeledConstruction(join(base.graph, build_graph(1, [])), base.labels + ("t",))
 
 
+def _within_cap(what: str, n: int) -> int:
+    """n, the vertex count of the graph `what` would build, if within the cap."""
+    if n > MAX_VERTICES:
+        raise BadParamsError(f"{what} would have {n} vertices, cap is {MAX_VERTICES}")
+    return n
+
+
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union plus all edges between the two sides; g2 shifts up by g1.n."""
-    n = g1.n + g2.n
-    if n > MAX_VERTICES:
-        raise BadParamsError(f"join would have {n} vertices, cap is {MAX_VERTICES}")
+    n = _within_cap("join", g1.n + g2.n)
     shift = g1.n
     edges = list(g1.edges)
     edges.extend((u + shift, v + shift) for u, v in g2.edges)
@@ -96,10 +101,7 @@ def _check_path_copies(m) -> None:
 def _product_order(n: int, m) -> int:
     """Vertex count of an n-vertex graph times an m-copy path, within the caps."""
     _check_path_copies(m)
-    total = n * m
-    if total > MAX_VERTICES:
-        raise BadParamsError(f"product would have {total} vertices, cap is {MAX_VERTICES}")
-    return total
+    return _within_cap("product", n * m)
 
 
 def cartesian_path(g: Graph, m: int) -> LabeledConstruction:
@@ -181,61 +183,41 @@ def witness_from_joint_cover(g: Graph, m: int, cover) -> set[int]:
     return witness
 
 
-_FAMILY_ARITY = {
-    "path": 1,
-    "cycle": 1,
-    "complete": 1,
-    "star": 1,
-    "complete_bipartite": 2,
-    "grid": 2,
+# name: (smallest value of each parameter, vertex count, edge list)
+_FAMILIES = {
+    "path": ((1,), lambda n: n, lambda n: [(i, i + 1) for i in range(n - 1)]),
+    "cycle": ((3,), lambda n: n, lambda n: [(i, (i + 1) % n) for i in range(n)]),
+    "complete": ((1,), lambda n: n, lambda n: [(i, j) for i in range(n) for j in range(i + 1, n)]),
+    "star": ((1,), lambda leaves: leaves + 1, lambda leaves: [(0, i) for i in range(1, leaves + 1)]),
+    "complete_bipartite": (
+        (1, 1),
+        lambda a, b: a + b,
+        lambda a, b: [(i, a + j) for i in range(a) for j in range(b)],
+    ),
+    "grid": (
+        (1, 1),
+        lambda rows, cols: rows * cols,
+        lambda rows, cols: [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+        + [(v, v + cols) for v in range((rows - 1) * cols)],
+    ),
 }
 
 
 def standard_family(name: str, params) -> Graph:
     """Named small families: path n, cycle n, complete n, star leaves,
-    complete_bipartite a b, grid rows cols."""
+    complete_bipartite a b, grid rows cols.
+
+    The parameters' count, integer type, smallest values and the vertex
+    count are all checked before any edge is listed.
+    """
     params = tuple(params)
-    arity = _FAMILY_ARITY.get(name)
-    if arity is None:
-        raise BadParamsError(f"unknown family {name!r}; choose from {sorted(_FAMILY_ARITY)}")
-    if len(params) != arity or not all(isinstance(p, int) for p in params):
-        raise BadParamsError(f"family {name!r} takes {arity} integer parameter(s), got {params!r}")
-    if name == "path":
-        (n,) = params
-        if n < 1:
-            raise BadParamsError("path needs n >= 1")
-        return build_graph(n, [(i, i + 1) for i in range(n - 1)])
-    if name == "cycle":
-        (n,) = params
-        if n < 3:
-            raise BadParamsError("cycle needs n >= 3")
-        return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-    if name == "complete":
-        (n,) = params
-        if n < 1:
-            raise BadParamsError("complete needs n >= 1")
-        return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    if name == "star":
-        (leaves,) = params
-        if leaves < 1:
-            raise BadParamsError("star needs at least 1 leaf")
-        return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-    if name == "complete_bipartite":
-        a, b = params
-        if a < 1 or b < 1:
-            raise BadParamsError("complete_bipartite needs both sides nonempty")
-        return build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-    rows, cols = params
-    if rows < 1 or cols < 1:
-        raise BadParamsError("grid needs positive dimensions")
-    if rows * cols == 1:
-        return build_graph(1, [])
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return build_graph(rows * cols, edges)
+    if name not in _FAMILIES:
+        raise BadParamsError(f"unknown family {name!r}; choose from {sorted(_FAMILIES)}")
+    mins, order, edges = _FAMILIES[name]
+    if len(params) != len(mins) or not all(isinstance(p, int) for p in params):
+        raise BadParamsError(f"family {name!r} takes {len(mins)} integer parameter(s), got {params!r}")
+    if any(p < low for p, low in zip(params, mins)):
+        lows = ", ".join(map(str, mins))
+        raise BadParamsError(f"family {name!r} needs parameters >= {lows}, got {params!r}")
+    n = _within_cap(f"family {name!r}", order(*params))
+    return build_graph(n, edges(*params))

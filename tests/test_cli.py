@@ -104,6 +104,35 @@ def test_exit_code_2_on_bad_params():
     assert proc.returncode == 2
 
 
+def _limit_address_space_to_1_gib():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        (("compute", "dim", "--construct", "complete", "20000"), 20000),
+        (("verify", "ncondition", "--g", "star:30000000"), 30000001),
+        (("construct", "family", "grid", "3000", "3000"), 9000000),
+    ],
+)
+def test_exit_code_2_on_family_over_the_vertex_cap(argv, order):
+    # refused from the parameters alone, so memory stays small
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no RLIMIT_AS on this platform")
+    proc = subprocess.run(
+        [sys.executable, "-m", "edimlab", *argv],
+        capture_output=True, text=True, env=cli_env(), preexec_fn=_limit_address_space_to_1_gib,
+    )
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert f"would have {order} vertices" in lines[0]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

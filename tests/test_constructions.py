@@ -204,13 +204,66 @@ def test_standard_families():
     assert grid == cartesian_path(path(4), 3).graph
 
 
+def _plain_family(n, adjacent):
+    """n vertices, and an edge u < v wherever adjacent(u, v) holds."""
+    return n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if adjacent(u, v))
+
+
+def _plain_grid(rows, cols):
+    """rows x cols cells numbered row by row, adjacent at Manhattan distance 1."""
+    def adjacent(u, v):
+        return abs(u // cols - v // cols) + abs(u % cols - v % cols) == 1
+
+    return _plain_family(rows * cols, adjacent)
+
+
+PLAIN_FAMILIES = (
+    [("path", (n,), _plain_family(n, lambda u, v: v == u + 1)) for n in range(1, 12)]
+    + [("cycle", (n,), _plain_family(n, lambda u, v, n=n: v == u + 1 or (u, v) == (0, n - 1)))
+       for n in range(3, 12)]
+    + [("complete", (n,), _plain_family(n, lambda u, v: True)) for n in range(1, 10)]
+    + [("star", (n,), _plain_family(n + 1, lambda u, v: u == 0)) for n in range(1, 10)]
+    + [("complete_bipartite", (a, b), _plain_family(a + b, lambda u, v, a=a: u < a <= v))
+       for a in range(1, 5) for b in range(1, 5)]
+    + [("grid", (r, c), _plain_grid(r, c)) for r in range(1, 6) for c in range(1, 6)]
+)
+
+
+@pytest.mark.parametrize("name, params, expected", PLAIN_FAMILIES)
+def test_standard_family_matches_a_plain_builder(name, params, expected):
+    g = standard_family(name, params)
+    assert (g.n, g.edges) == expected
+
+
 def test_standard_family_rejects_bad_input():
-    with pytest.raises(BadParamsError):
-        standard_family("mystery", [3])
-    with pytest.raises(BadParamsError):
-        standard_family("cycle", [2])
-    with pytest.raises(BadParamsError):
-        standard_family("grid", [3])
+    bad = [
+        ("mystery", [3]),
+        ("cycle", [2]),
+        ("grid", [3]),
+        ("path", [0]),
+        ("star", [0]),
+        ("complete_bipartite", [0, 2]),
+        ("grid", [0, 3]),
+        ("path", [3.0]),
+        ("complete", ["3"]),
+    ]
+    for name, params in bad:
+        with pytest.raises(BadParamsError):
+            standard_family(name, params)
+    over_the_cap = [
+        ("path", [4097], 4097),
+        ("cycle", [4097], 4097),
+        ("complete", [4097], 4097),
+        ("star", [4096], 4097),
+        ("complete_bipartite", [4000, 97], 4097),
+        ("grid", [64, 65], 4160),
+        # far over the cap: refused from the parameters, before any edge is listed
+        ("complete", [10**9], 10**9),
+        ("grid", [10**6, 10**6], 10**12),
+    ]
+    for name, params, order in over_the_cap:
+        with pytest.raises(BadParamsError, match=f"would have {order} vertices, cap is 4096"):
+            standard_family(name, params)
 
 
 def test_product_upper_witness_examples():
