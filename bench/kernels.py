@@ -9,8 +9,11 @@ P_2 of the first product6 graph of seed 0, hard_gnp graph 0 of seed 0
 Each kernel runs on the levels of the dim problem and of the edim problem
 (_edge_levels on edim only).  On the product, the edim problem also times
 constructions._path_product_edge_levels, the same edge levels composed
-from the factor's distances.  The graphs' distances are computed before
-any timing.  Prints one tab-separated line per input, problem and kernel:
+from the factor's distances, and the product check's witness test both
+ways: resolver._generates, the union of the witness landmarks' pair-bitset
+rows over the composed levels, and cartesian_path + is_edge_generator, a
+built product and a BFS from the witness (exit 1 if they disagree).  The
+graphs' distances are computed before any timing.  Prints one tab-separated line per input, problem and kernel:
 input, problem, objects, kernel, best seconds.  Each K must be at least 1
 and F_K's edim must fit the solvers' pair-bit cap (K <= 6); any other K
 exits 2 before anything is built or timed.  Needs only the standard
@@ -28,7 +31,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import gen  # noqa: E402
 from edimlab import resolver  # noqa: E402
-from edimlab.constructions import _path_product_edge_levels, cartesian_path, construct_F  # noqa: E402
+from edimlab.constructions import (  # noqa: E402
+    _path_product_edge_levels,
+    cartesian_path,
+    construct_F,
+    product_upper_witness,
+)
 from edimlab.errors import NTooLargeError  # noqa: E402
 from edimlab.graph import all_pairs_distances, build_graph, level_rows  # noqa: E402
 
@@ -68,6 +76,24 @@ def inputs(fk):
         yield f"F_{k}", construct_F(k).graph, None
 
 
+def witness_check(repeat: int, name: str, factor, composed, n_obj: int) -> None:
+    """Time the product check's witness test on factor x P_2 both ways;
+    exit 1 if they disagree."""
+    witness = product_upper_witness(factor, 2)
+    ways = [
+        ("_generates", resolver._generates, composed, n_obj, witness),
+        ("cartesian_path+is_edge_generator",
+         lambda: resolver.is_edge_generator(cartesian_path(factor, 2).graph, witness)),
+    ]
+    answers = set()
+    for kernel, fn, *args in ways:
+        secs, ok = best_of(repeat, fn, *args)
+        answers.add(ok)
+        print(f"{name}\tedim\t{n_obj}\t{kernel}\t{secs:.6g}", flush=True)
+    if len(answers) != 1:
+        sys.exit(f"{name}: the witness tests disagree")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeat", type=int, default=10, help="calls per kernel; the best is printed")
@@ -92,8 +118,9 @@ def main() -> None:
                 secs, obj_levels = best_of(args.repeat, resolver._edge_levels, g, levels)
                 print(f"{name}\t{problem}\t{n_obj}\t_edge_levels\t{secs:.6g}", flush=True)
                 if factor is not None:
-                    secs, _ = best_of(args.repeat, _path_product_edge_levels, factor, 2)
+                    secs, composed = best_of(args.repeat, _path_product_edge_levels, factor, 2)
                     print(f"{name}\t{problem}\t{n_obj}\t_path_product_edge_levels\t{secs:.6g}", flush=True)
+                    witness_check(args.repeat, name, factor, composed, n_obj)
             secs, (bits, universe) = best_of(args.repeat, resolver._pair_bitsets, obj_levels, n_obj)
             print(f"{name}\t{problem}\t{n_obj}\t_pair_bitsets\t{secs:.6g}", flush=True)
             rows = level_rows(obj_levels, n_obj)

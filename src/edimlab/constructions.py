@@ -26,8 +26,9 @@ m*|E| + j*n + v.  The value and the witness do not depend on how the
 objects are numbered.  It refuses what the generic solve refuses, before
 reading any distance: a bad m, a product over the vertex cap, a
 disconnected g, and a product over the solvers' pair-bit cap.  The
-product check solves the product this way; only its witness check builds
-the product, and BFSes from the witness.
+product check reads g alone: it solves the product this way, and tests its
+witness on the same edge levels, so it builds no product and runs no BFS
+on one.
 """
 
 from dataclasses import dataclass
@@ -121,12 +122,18 @@ def cartesian_path(g: Graph, m: int) -> LabeledConstruction:
 
 def path_product_edim(g: Graph, m: int) -> DimensionResult:
     """Minimum edge generator of g x P_m, from g's distances (module docstring)."""
+    return _minimum_cover(*_path_product_levels(g, m), False)
+
+
+def _path_product_levels(g: Graph, m: int) -> tuple[list[list[int]], int]:
+    """The edge levels of g x P_m and its object count, behind the guards
+    of the generic solve (module docstring)."""
     total = _product_order(g.n, m)
     if not is_connected(g):
         raise DisconnectedError("edge metric dimension requires a connected graph")
     n_obj = m * g.m + (m - 1) * g.n
     _check_pair_bits(total, n_obj)
-    return _minimum_cover(_path_product_edge_levels(g, m), n_obj, False)
+    return _path_product_edge_levels(g, m), n_obj
 
 
 def _path_product_edge_levels(g: Graph, m: int) -> list[list[int]]:
@@ -183,10 +190,11 @@ def witness_from_joint_cover(g: Graph, m: int, cover) -> set[int]:
     return witness
 
 
-# name: (smallest value of each parameter, vertex count, edge list)
+# name: (smallest value of each parameter, vertex count, edge list); each
+# list is canonical and sorted, as the trusted _graph_from_edges requires
 _FAMILIES = {
     "path": ((1,), lambda n: n, lambda n: [(i, i + 1) for i in range(n - 1)]),
-    "cycle": ((3,), lambda n: n, lambda n: [(i, (i + 1) % n) for i in range(n)]),
+    "cycle": ((3,), lambda n: n, lambda n: [(0, 1), (0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)]),
     "complete": ((1,), lambda n: n, lambda n: [(i, j) for i in range(n) for j in range(i + 1, n)]),
     "star": ((1,), lambda leaves: leaves + 1, lambda leaves: [(0, i) for i in range(1, leaves + 1)]),
     "complete_bipartite": (
@@ -197,8 +205,10 @@ _FAMILIES = {
     "grid": (
         (1, 1),
         lambda rows, cols: rows * cols,
-        lambda rows, cols: [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
-        + [(v, v + cols) for v in range((rows - 1) * cols)],
+        lambda rows, cols: sorted(
+            [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+            + [(v, v + cols) for v in range((rows - 1) * cols)]
+        ),
     ),
 }
 
@@ -220,4 +230,4 @@ def standard_family(name: str, params) -> Graph:
         lows = ", ".join(map(str, mins))
         raise BadParamsError(f"family {name!r} needs parameters >= {lows}, got {params!r}")
     n = _within_cap(f"family {name!r}", order(*params))
-    return build_graph(n, edges(*params))
+    return _graph_from_edges(n, tuple(edges(*params)))

@@ -20,7 +20,9 @@ and connectivity once computed, so both solves on one graph (as in
 `min_joint_cover`) share one BFS and one connectivity test.
 `is_vertex_generator` and `is_edge_generator` keep their own definition,
 pairwise distinct signature tuples, and run the BFS from the landmarks
-only (`graph.bfs_levels`).
+only (`graph.bfs_levels`).  `_generates` tests a landmark set on object
+levels already built, with the criterion of the cover search: the union
+of its bitsets covers every pair.
 
 Search order contract: the reported witness is the lexicographically least
 basis of minimum size, i.e. the first generator met when scanning subset
@@ -154,6 +156,16 @@ def is_vertex_generator(g: Graph, s) -> bool:
 def is_edge_generator(g: Graph, s) -> bool:
     """True when the edges of g have pairwise distinct signatures over s."""
     return _is_generator(g, s, g.m, lambda levels: _edge_levels(g, levels))
+
+
+def _generates(levels: list[list[int]], n_obj: int, s) -> bool:
+    """True when the landmarks s, indices into `levels`, give the n_obj
+    objects pairwise distinct signatures: their pair bitsets cover every pair."""
+    bits, universe = _pair_bitsets([levels[v] for v in s], n_obj)
+    cover = 0
+    for b in bits:
+        cover |= b
+    return cover == universe
 
 
 def _spaced(count: int, gap: int) -> int:

@@ -20,18 +20,17 @@ from math import comb
 
 from .constructions import (
     _check_path_copies,
-    cartesian_path,
+    _path_product_levels,
     construct_F,
     construct_H,
     join,
-    path_product_edim,
     witness_from_joint_cover,
 )
 from .errors import DisconnectedError, KOutOfRangeError
 from .experiments import _connected_graph_from_mask, class_sweep, labeled_masks
 from .formats import write_graph6
 from .graph import Graph, bits_of, build_graph, diameter, is_connected, max_degree
-from .resolver import edge_metric_dimension, is_edge_generator, metric_dimension, min_joint_cover
+from .resolver import _generates, _minimum_cover, edge_metric_dimension, metric_dimension, min_joint_cover
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -242,13 +241,15 @@ def check_join_K1_theorem(g: Graph) -> TheoremReport:
 
 def check_product_theorem(g: Graph, m: int) -> TheoremReport:
     """k <= edim(g x P_m) <= k+1 for the joint-cover number k, with the
-    constructed upper witness actually generating."""
+    constructed upper witness actually generating.  Both read the product's
+    edge levels composed from g's distances: no product is built."""
     _check_path_copies(m)
     gid = f"{_graph_id(g)} m={m}"
     k, cover = min_joint_cover(g)
-    edim = path_product_edim(g, m).value
+    levels, n_obj = _path_product_levels(g, m)
+    edim = _minimum_cover(levels, n_obj, False).value
     witness = witness_from_joint_cover(g, m, cover)
-    witness_ok = is_edge_generator(cartesian_path(g, m).graph, witness)
+    witness_ok = _generates(levels, n_obj, witness)
     if k <= edim <= k + 1 and witness_ok:
         return TheoremReport("product", gid, HOLDS)
     return TheoremReport(

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,10 +25,16 @@ from edimlab import (
     product_upper_witness,
     standard_family,
 )
-from edimlab.constructions import MAX_FK_K, _path_product_edge_levels, path_product_edim
+from edimlab.constructions import (
+    MAX_FK_K,
+    _path_product_edge_levels,
+    _path_product_levels,
+    path_product_edim,
+    witness_from_joint_cover,
+)
 from edimlab.experiments import _graph_of_mask
 from edimlab.graph import level_rows
-from edimlab.resolver import _edge_levels
+from edimlab.resolver import _edge_levels, _generates
 
 from conftest import complete, connected_graphs, cycle, path
 
@@ -169,6 +178,44 @@ def test_path_product_edim_equals_the_generic_solve(g, m):
     assert path_product_edim(g, m) == edge_metric_dimension(cartesian_path(g, m).graph)
 
 
+def _witness_tests_agree(g, m, seed):
+    """Whether each landmark set tried on g x P_m generates, after asserting
+    that the test on the composed edge levels gives the same answer as
+    `is_edge_generator` on the built product.  The sets are the joint-cover
+    witness of the product check and four seeded subsets of at most k + 1
+    landmarks."""
+    k, cover = min_joint_cover(g)
+    rng = random.Random(seed)
+    landmark_sets = [witness_from_joint_cover(g, m, cover)]
+    landmark_sets += [rng.sample(range(m * g.n), rng.randint(1, k + 1)) for _ in range(4)]
+    levels, n_obj = _path_product_levels(g, m)
+    prod = cartesian_path(g, m).graph
+    answers = set()
+    for s in landmark_sets:
+        got = _generates(levels, n_obj, s)
+        assert got == is_edge_generator(prod, s), (g.n, g.edges, m, sorted(s))
+        answers.add(got)
+    return answers
+
+
+def test_the_witness_test_on_composed_levels_matches_the_built_product_on_every_class():
+    answers = set()
+    for n in range(2, 7):
+        for mask, _ in connected_classes(n):
+            g = _graph_of_mask(n, mask)
+            for m in (2, 3, 4):
+                answers |= _witness_tests_agree(g, m, f"{n}:{mask}:{m}")
+    # the seeded subsets include sets that do not generate
+    assert answers == {True, False}
+
+
+@given(connected_graphs(max_n=8), st.integers(2, 4), st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+@example(g=path(2), m=2, seed=0)
+def test_the_witness_test_on_composed_levels_matches_the_built_product(g, m, seed):
+    _witness_tests_agree(g, m, seed)
+
+
 def test_path_product_edim_refuses_what_the_generic_solve_refuses():
     k100 = complete(100)
     disconnected = [build_graph(2, []), build_graph(4, [(0, 1), (2, 3)]), build_graph(101, k100.edges)]
@@ -217,6 +264,11 @@ def _plain_grid(rows, cols):
     return _plain_family(rows * cols, adjacent)
 
 
+def _validated(n, edges):
+    g = build_graph(n, edges)
+    return g.n, g.edges
+
+
 PLAIN_FAMILIES = (
     [("path", (n,), _plain_family(n, lambda u, v: v == u + 1)) for n in range(1, 12)]
     + [("cycle", (n,), _plain_family(n, lambda u, v, n=n: v == u + 1 or (u, v) == (0, n - 1)))
@@ -226,6 +278,12 @@ PLAIN_FAMILIES = (
     + [("complete_bipartite", (a, b), _plain_family(a + b, lambda u, v, a=a: u < a <= v))
        for a in range(1, 5) for b in range(1, 5)]
     + [("grid", (r, c), _plain_grid(r, c)) for r in range(1, 6) for c in range(1, 6)]
+    # too large for the plain builders: the validating build_graph on unsorted
+    # lists, the cycle's wrap edge written (n - 1, 0)
+    + [("complete", (300,), _validated(300, combinations(range(300), 2))),
+       ("grid", (64, 64), _validated(4096, [(v, v + 1) for v in range(4096) if (v + 1) % 64]
+                                     + [(v, v + 64) for v in range(4096 - 64)])),
+       ("cycle", (4096,), _validated(4096, [(i, (i + 1) % 4096) for i in range(4096)]))]
 )
 
 
