@@ -12,8 +12,12 @@ constructions._path_product_edge_levels, the same edge levels composed
 from the factor's distances, and the product check's witness test both
 ways: resolver._generates, the union of the witness landmarks' pair-bitset
 rows over the composed levels, and cartesian_path + is_edge_generator, a
-built product and a BFS from the witness (exit 1 if they disagree).  The
-graphs' distances are computed before any timing.  Prints one tab-separated line per input, problem and kernel:
+built product and a BFS from the witness.  It then times the product
+check's verdict both ways: the decision (pair bitsets, the witness test and
+resolver._fits refuting k - 1 landmarks) and resolver._minimum_cover, the
+exact edim.  It exits 1 if either pair of answers disagrees.  The graphs'
+distances are computed before any timing.  Prints one tab-separated line
+per input, problem and kernel:
 input, problem, objects, kernel, best seconds.  Each K must be at least 1
 and F_K's edim must fit the solvers' pair-bit cap (K <= 6); any other K
 exits 2 before anything is built or timed.  Needs only the standard
@@ -35,7 +39,7 @@ from edimlab.constructions import (  # noqa: E402
     _path_product_edge_levels,
     cartesian_path,
     construct_F,
-    product_upper_witness,
+    witness_from_joint_cover,
 )
 from edimlab.errors import NTooLargeError  # noqa: E402
 from edimlab.graph import all_pairs_distances, build_graph, level_rows  # noqa: E402
@@ -76,22 +80,38 @@ def inputs(fk):
         yield f"F_{k}", construct_F(k).graph, None
 
 
-def witness_check(repeat: int, name: str, factor, composed, n_obj: int) -> None:
-    """Time the product check's witness test on factor x P_2 both ways;
-    exit 1 if they disagree."""
-    witness = product_upper_witness(factor, 2)
-    ways = [
-        ("_generates", resolver._generates, composed, n_obj, witness),
-        ("cartesian_path+is_edge_generator",
-         lambda: resolver.is_edge_generator(cartesian_path(factor, 2).graph, witness)),
-    ]
-    answers = set()
-    for kernel, fn, *args in ways:
-        secs, ok = best_of(repeat, fn, *args)
-        answers.add(ok)
-        print(f"{name}\tedim\t{n_obj}\t{kernel}\t{secs:.6g}", flush=True)
-    if len(answers) != 1:
-        sys.exit(f"{name}: the witness tests disagree")
+def product_check(repeat: int, name: str, factor, composed, n_obj: int) -> None:
+    """Time the product check's witness test and its verdict on factor x P_2,
+    each both ways; exit 1 if either pair disagrees."""
+    k, cover = resolver.min_joint_cover(factor)
+    witness = witness_from_joint_cover(factor, 2, cover)
+    bits, universe = resolver._pair_bitsets(composed, n_obj)
+
+    def decision():
+        bits, universe = resolver._pair_bitsets(composed, n_obj)
+        return resolver._generates(bits, universe, witness) and not resolver._fits(
+            composed, n_obj, bits, universe, k - 1)
+
+    def exact():
+        edim = resolver._minimum_cover(composed, n_obj, False).value
+        return k <= edim <= k + 1 and resolver._generates(bits, universe, witness)
+
+    checks = {
+        "witness tests": [
+            ("_generates", resolver._generates, bits, universe, witness),
+            ("cartesian_path+is_edge_generator",
+             lambda: resolver.is_edge_generator(cartesian_path(factor, 2).graph, witness)),
+        ],
+        "verdicts": [("decision", decision), ("_minimum_cover", exact)],
+    }
+    for what, ways in checks.items():
+        answers = set()
+        for kernel, fn, *args in ways:
+            secs, ok = best_of(repeat, fn, *args)
+            answers.add(ok)
+            print(f"{name}\tedim\t{n_obj}\t{kernel}\t{secs:.6g}", flush=True)
+        if len(answers) != 1:
+            sys.exit(f"{name}: the {what} disagree")
 
 
 def main() -> None:
@@ -109,7 +129,7 @@ def main() -> None:
     for name, g, factor in inputs(args.fk):
         levels = all_pairs_distances(g).levels
         if factor is not None:
-            all_pairs_distances(factor)
+            factor_elevels = resolver._edge_levels(factor, all_pairs_distances(factor).levels)
         for problem in ("dim", "edim"):
             n_obj = g.n
             obj_levels = levels
@@ -118,9 +138,9 @@ def main() -> None:
                 secs, obj_levels = best_of(args.repeat, resolver._edge_levels, g, levels)
                 print(f"{name}\t{problem}\t{n_obj}\t_edge_levels\t{secs:.6g}", flush=True)
                 if factor is not None:
-                    secs, composed = best_of(args.repeat, _path_product_edge_levels, factor, 2)
+                    secs, composed = best_of(args.repeat, _path_product_edge_levels, factor, 2, factor_elevels)
                     print(f"{name}\t{problem}\t{n_obj}\t_path_product_edge_levels\t{secs:.6g}", flush=True)
-                    witness_check(args.repeat, name, factor, composed, n_obj)
+                    product_check(args.repeat, name, factor, composed, n_obj)
             secs, (bits, universe) = best_of(args.repeat, resolver._pair_bitsets, obj_levels, n_obj)
             print(f"{name}\t{problem}\t{n_obj}\t_pair_bitsets\t{secs:.6g}", flush=True)
             rows = level_rows(obj_levels, n_obj)

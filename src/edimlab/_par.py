@@ -7,7 +7,6 @@ merged results never depend on scheduling.  threads <= 1 runs everything
 in-process and is the reference behaviour.
 """
 
-import multiprocessing
 import os
 from collections.abc import Sequence
 
@@ -24,6 +23,10 @@ def run_blocks(fn, blocks, threads: int) -> list:
     workers = min(threads, os.cpu_count() or 1, len(blocks))
     if workers <= 1:
         return [fn(b) for b in blocks]
+    # imported here: it pulls in sockets, pickling and threads (about 1 MB of
+    # resident memory), which a run that never forks does not need
+    import multiprocessing
+
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=workers) as pool:
         return pool.map(fn, blocks)

@@ -26,9 +26,9 @@ m*|E| + j*n + v.  The value and the witness do not depend on how the
 objects are numbered.  It refuses what the generic solve refuses, before
 reading any distance: a bad m, a product over the vertex cap, a
 disconnected g, and a product over the solvers' pair-bit cap.  The
-product check reads g alone: it solves the product this way, and tests its
-witness on the same edge levels, so it builds no product and runs no BFS
-on one.
+product check reads g alone: it decides its bounds on the same edge levels
+(composed with g's edge levels, which its joint cover has computed), so it
+builds no product and runs no BFS on one.
 """
 
 from dataclasses import dataclass
@@ -125,25 +125,28 @@ def path_product_edim(g: Graph, m: int) -> DimensionResult:
     return _minimum_cover(*_path_product_levels(g, m), False)
 
 
-def _path_product_levels(g: Graph, m: int) -> tuple[list[list[int]], int]:
+def _path_product_levels(g: Graph, m: int, elevels=None) -> tuple[list[list[int]], int]:
     """The edge levels of g x P_m and its object count, behind the guards
-    of the generic solve (module docstring)."""
+    of the generic solve (module docstring).  elevels are g's edge levels,
+    computed after the guards when not given."""
     total = _product_order(g.n, m)
     if not is_connected(g):
         raise DisconnectedError("edge metric dimension requires a connected graph")
     n_obj = m * g.m + (m - 1) * g.n
     _check_pair_bits(total, n_obj)
-    return _path_product_edge_levels(g, m), n_obj
+    if elevels is None:
+        elevels = _edge_levels(g, g.distances.levels)
+    return _path_product_edge_levels(g, m, elevels), n_obj
 
 
-def _path_product_edge_levels(g: Graph, m: int) -> list[list[int]]:
+def _path_product_edge_levels(g: Graph, m: int, elevels: list[list[int]]) -> list[list[int]]:
     """Edge masks of g x P_m by distance from each of its vertices, read off
-    g's distances; objects and landmarks numbered as in the module docstring."""
+    g's distances and g's edge levels `elevels`; objects and landmarks
+    numbered as in the module docstring."""
     n, size = g.n, g.m
     rungs = m * size
     n_obj = rungs + (m - 1) * n
     vlevels = g.distances.levels
-    elevels = _edge_levels(g, vlevels)
     # u's edge and vertex levels, each packed in one integer with level d at bit d * n_obj
     packed = []
     for u in range(n):

@@ -117,7 +117,8 @@ def build_graph(n: int, edge_pairs) -> Graph:
             raise VertexOutOfRangeError(f"edge ({u}, {v}) uses a vertex outside 0..{n - 1}")
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
+        # a canonical tuple pair is kept as given, not copied
+        key = (v, u) if u > v else pair if type(pair) is tuple else (u, v)
         if key in seen:
             raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
         seen.add(key)

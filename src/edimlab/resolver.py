@@ -20,8 +20,8 @@ and connectivity once computed, so both solves on one graph (as in
 `min_joint_cover`) share one BFS and one connectivity test.
 `is_vertex_generator` and `is_edge_generator` keep their own definition,
 pairwise distinct signature tuples, and run the BFS from the landmarks
-only (`graph.bfs_levels`).  `_generates` tests a landmark set on object
-levels already built, with the criterion of the cover search: the union
+only (`graph.bfs_levels`).  `_generates` tests a landmark set on pair
+bitsets already built, with the criterion of the cover search: the union
 of its bitsets covers every pair.
 
 Search order contract: the reported witness is the lexicographically least
@@ -37,6 +37,14 @@ of one size in lexicographic order: its first item at the optimum is the
 witness and all its items are the bases, so the answers do not depend on
 which search found the value.  Suffix unions of the bitsets prune scan
 subtrees that cannot cover the remaining pairs.
+
+Decision entry: `_fits` answers "do at most s landmarks cover every
+pair?" without solving for the optimum.  It runs one refutation of the
+search above, picked by the same gate: a lexicographic scan for a cover of
+exactly s landmarks, or the branch-and-bound over the minimal separator
+sets with s + 1 as its bound.  It finds no greedy bound and no witness, so
+a check that needs only bounds on the optimum (the product statement's
+k <= edim) pays for one refutation instead of a full solve.
 
 Minimal separator sets: when the branch-and-bound runs, it and the scans at
 the optimum work over the distinct inclusion-minimal separator sets instead
@@ -158,13 +166,12 @@ def is_edge_generator(g: Graph, s) -> bool:
     return _is_generator(g, s, g.m, lambda levels: _edge_levels(g, levels))
 
 
-def _generates(levels: list[list[int]], n_obj: int, s) -> bool:
-    """True when the landmarks s, indices into `levels`, give the n_obj
-    objects pairwise distinct signatures: their pair bitsets cover every pair."""
-    bits, universe = _pair_bitsets([levels[v] for v in s], n_obj)
+def _generates(bits: list[int], universe: int, s) -> bool:
+    """True when the landmarks s, indices into `bits`, give the objects
+    pairwise distinct signatures: their pair bitsets cover the universe."""
     cover = 0
-    for b in bits:
-        cover |= b
+    for v in s:
+        cover |= bits[v]
     return cover == universe
 
 
@@ -422,6 +429,25 @@ def _minimum_cover(levels: list[list[int]], n_obj: int, want_all: bool) -> Dimen
     return DimensionResult(opt, witness or next(_covers(bits, suffix, universe, opt)))
 
 
+def _fits(levels: list[list[int]], n_obj: int, bits: list[int], universe: int, size: int) -> bool:
+    """True when at most `size` landmarks cover `universe`, that is when
+    `_minimum_cover(levels, n_obj, False).value <= size`; bits and universe
+    are `_pair_bitsets(levels, n_obj)`.
+
+    `_minimum_cover`'s gate, applied to `size`, picks one of its searches:
+    a lexicographic scan for a cover of exactly `size` landmarks (generator
+    existence is monotone in size), or the branch-and-bound over the minimal
+    separator sets, bounded by `size + 1`.
+    """
+    if size < 1 or universe == 0:
+        return universe == 0
+    size = min(size, len(bits))
+    if comb(len(bits), size) < BRANCH_AND_BOUND_MIN_SUBSETS:
+        return next(_covers(bits, _suffix_unions(bits), universe, size), None) is not None
+    seps, reduced = _minimal_separators(bits, universe, level_rows(levels, n_obj), n_obj)
+    return _branch_and_bound_size(reduced, (1 << len(seps)) - 1, seps, size + 1) <= size
+
+
 def metric_dimension(g: Graph, want_all_bases: bool = False) -> DimensionResult:
     """Minimum vertex set with pairwise distinct vertex signatures."""
     if not is_connected(g):
@@ -443,15 +469,24 @@ def min_joint_cover(g: Graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ..
 
     Returns (k, (S, T)) with the lexicographically least achieving pair.
     """
+    k, pair, _ = _joint_cover(g)
+    return k, pair
+
+
+def _joint_cover(g: Graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]], list[list[int]]]:
+    """`min_joint_cover(g)`'s k and pair, then g's edge levels, which its edge
+    solve reads and a caller may read again."""
     if not is_connected(g):
         raise DisconnectedError("joint cover requires a connected graph")
     if g.m == 0:
         raise NoEdgesError("joint cover requires at least one edge")
-    # both guards before the first solve computes g's distances, which the second reads
+    # both guards before g's distances are computed
     _check_pair_bits(g.n, g.n)
     _check_pair_bits(g.n, g.m)
-    vres = metric_dimension(g, True)
-    eres = edge_metric_dimension(g, True)
+    levels = all_pairs_distances(g).levels
+    elevels = _edge_levels(g, levels)
+    vres = _minimum_cover(levels, g.n, True)
+    eres = _minimum_cover(elevels, g.m, True)
     # the bases come in lexicographic order: the first pair at the least size is the least
     t_masks = [(sum(1 << v for v in t), t) for t in eres.all_bases]
     best = None
@@ -461,4 +496,4 @@ def min_joint_cover(g: Graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ..
             size = (s_mask | t_mask).bit_count()
             if best is None or size < best[0]:
                 best = size, s, t
-    return best[0], (best[1], best[2])
+    return best[0], (best[1], best[2]), elevels

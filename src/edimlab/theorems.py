@@ -30,7 +30,15 @@ from .errors import DisconnectedError, KOutOfRangeError
 from .experiments import _connected_graph_from_mask, class_sweep, labeled_masks
 from .formats import write_graph6
 from .graph import Graph, bits_of, build_graph, diameter, is_connected, max_degree
-from .resolver import _generates, _minimum_cover, edge_metric_dimension, metric_dimension, min_joint_cover
+from .resolver import (
+    _fits,
+    _generates,
+    _joint_cover,
+    _minimum_cover,
+    _pair_bitsets,
+    edge_metric_dimension,
+    metric_dimension,
+)
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -241,17 +249,24 @@ def check_join_K1_theorem(g: Graph) -> TheoremReport:
 
 def check_product_theorem(g: Graph, m: int) -> TheoremReport:
     """k <= edim(g x P_m) <= k+1 for the joint-cover number k, with the
-    constructed upper witness actually generating.  Both read the product's
-    edge levels composed from g's distances: no product is built."""
+    constructed upper witness actually generating.
+
+    Decided on the product's pair bitsets, over its edge levels composed
+    from g's distances, so no product is built: the witness has k + 1
+    landmarks, so when it generates edim <= k + 1, and edim >= k when no
+    k - 1 landmarks cover every pair.  edim itself is solved only for the
+    certificate of a failure.
+    """
     _check_path_copies(m)
     gid = f"{_graph_id(g)} m={m}"
-    k, cover = min_joint_cover(g)
-    levels, n_obj = _path_product_levels(g, m)
-    edim = _minimum_cover(levels, n_obj, False).value
+    k, cover, elevels = _joint_cover(g)
+    levels, n_obj = _path_product_levels(g, m, elevels)
+    bits, universe = _pair_bitsets(levels, n_obj)
     witness = witness_from_joint_cover(g, m, cover)
-    witness_ok = _generates(levels, n_obj, witness)
-    if k <= edim <= k + 1 and witness_ok:
+    witness_ok = _generates(bits, universe, witness)
+    if witness_ok and not _fits(levels, n_obj, bits, universe, k - 1):
         return TheoremReport("product", gid, HOLDS)
+    edim = _minimum_cover(levels, n_obj, False).value
     return TheoremReport(
         "product", gid, FAILS,
         {"joint_k": k, "edim_of_product": edim, "m": m,

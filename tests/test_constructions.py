@@ -34,7 +34,7 @@ from edimlab.constructions import (
 )
 from edimlab.experiments import _graph_of_mask
 from edimlab.graph import level_rows
-from edimlab.resolver import _edge_levels, _generates
+from edimlab.resolver import _edge_levels, _generates, _pair_bitsets
 
 from conftest import complete, connected_graphs, cycle, path
 
@@ -156,7 +156,7 @@ def test_path_product_edge_levels_are_the_products_edge_levels(g, m):
                 number[(j * g.n + v, (j + 1) * g.n + v)] = m * g.m + j * g.n + v
     assert sorted(number.values()) == list(range(prod.m))
     want = level_rows(_edge_levels(prod, all_pairs_distances(prod).levels), prod.m)
-    got = level_rows(_path_product_edge_levels(g, m), prod.m)
+    got = level_rows(_path_product_edge_levels(g, m, _edge_levels(g, all_pairs_distances(g).levels)), prod.m)
     for row, want_row in zip(got, want, strict=True):
         assert [row[number[e]] for e in prod.edges] == list(want_row)
 
@@ -188,11 +188,11 @@ def _witness_tests_agree(g, m, seed):
     rng = random.Random(seed)
     landmark_sets = [witness_from_joint_cover(g, m, cover)]
     landmark_sets += [rng.sample(range(m * g.n), rng.randint(1, k + 1)) for _ in range(4)]
-    levels, n_obj = _path_product_levels(g, m)
+    bits, universe = _pair_bitsets(*_path_product_levels(g, m))
     prod = cartesian_path(g, m).graph
     answers = set()
     for s in landmark_sets:
-        got = _generates(levels, n_obj, s)
+        got = _generates(bits, universe, s)
         assert got == is_edge_generator(prod, s), (g.n, g.edges, m, sorted(s))
         answers.add(got)
     return answers

@@ -1,7 +1,8 @@
 """Pinned outputs: SHA-256 digests of CLI stdout, reports and census results.
 
 The digests pin the bytes of every sweepable statement's n <= 5 sweep, the
-n = 5 survey, the F_k and H_k certifications and the ratio extremes, so a
+product sweeps with m = 3 at n <= 6 and with m = 4 at n <= 5, the n = 5
+survey, the F_k and H_k certifications and the ratio extremes, so a
 refactor that changes any of them fails here.  Each command runs in
 process through `cli.main`.
 """
@@ -50,6 +51,19 @@ SWEEP5 = {
     ),
 }
 
+# (m, n_max) -> (stdout, --report JSON) of `verify product --sweep N_MAX --m M`
+# with more than two path copies; the report does not record m
+PRODUCT_MORE_COPIES = {
+    (3, 6): (
+        "158dd096a2155abe458ba7710302166ca66476d22a7a64b7fe7a3036efad866b",
+        "e7f331bd63c6e95564d6debfffe9535c60345ca0b315b15d3e898fdc48815b77",
+    ),
+    (4, 5): (
+        "3131244fb2bc195f02475c5f31b53bd839b92a02b9c4d9fb48915b21ce912b3f",
+        "601a248742af69295d6e2021518938035c855abf956282d8fd5ecfb10fe402e9",
+    ),
+}
+
 # family -> (stdout, --report JSON) of `verify <family> --kmax 3`
 KMAX3 = {
     "fk": (
@@ -91,6 +105,12 @@ def test_sweep_outputs_are_pinned(theorem, threads, tmp_path):
     extra = ["--m", "2"] if theorem == "product" else []
     argv = ["--threads", threads, "verify", theorem, "--sweep", "5", *extra]
     assert _run_with_report(argv, tmp_path) == (0, *SWEEP5[theorem])
+
+
+@pytest.mark.parametrize("m, n_max", sorted(PRODUCT_MORE_COPIES))
+def test_product_sweeps_with_more_path_copies_are_pinned(m, n_max, tmp_path):
+    argv = ["verify", "product", "--sweep", str(n_max), "--m", str(m)]
+    assert _run_with_report(argv, tmp_path) == (0, *PRODUCT_MORE_COPIES[m, n_max])
 
 
 @pytest.mark.parametrize("family", sorted(KMAX3))

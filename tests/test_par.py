@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 from edimlab import _par
@@ -26,7 +28,7 @@ class RecordingContext:
 @pytest.fixture
 def pool_sizes(monkeypatch):
     ctx = RecordingContext()
-    monkeypatch.setattr(_par.multiprocessing, "get_context", lambda method: ctx)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
     return ctx.processes
 
 

@@ -260,6 +260,23 @@ def test_search_path_is_chosen_from_the_input(bnb_calls):
     assert bnb_calls == []
 
 
+@given(connected_graphs(min_n=1, max_n=8))
+@settings(max_examples=40, deadline=None)
+@example(g=build_graph(1, []))  # no pair in either universe
+@example(g=path(2))  # one edge: no edge pair
+@example(g=complete(8))
+def test_fits_answers_whether_the_minimum_cover_has_at_most_size_landmarks(g):
+    for gate in (0, 10**9):  # branch-and-bound always, then never
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(resolver, "BRANCH_AND_BOUND_MIN_SUBSETS", gate)
+            for levels, n_obj in _object_levels(g).values():
+                bits, universe = resolver._pair_bitsets(levels, n_obj)
+                value = resolver._minimum_cover(levels, n_obj, False).value
+                for size in range(len(bits) + 1):
+                    assert resolver._fits(levels, n_obj, bits, universe, size) == (value <= size), (
+                        g.edges, n_obj, gate, size)
+
+
 def _separator_sets(g):
     """Per kind, the separator set of every object pair, from oracle distances."""
     dist = bfs_oracle(g)

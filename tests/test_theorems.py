@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edimlab import (
     DisconnectedError,
@@ -29,10 +31,12 @@ from edimlab import (
     sweep_theorem,
     write_graph6,
 )
-from edimlab import theorems
+from edimlab import resolver, theorems
+from edimlab.constructions import path_product_edim, witness_from_joint_cover
+from edimlab.experiments import _graph_of_mask, connected_classes
 from edimlab.theorems import FAILS, HOLDS, NOT_APPLICABLE, TheoremReport
 
-from conftest import complete, cycle, neighbours_from_edges, path, star
+from conftest import complete, connected_graphs, cycle, neighbours_from_edges, path, star
 
 
 def test_full_edim_condition_examples():
@@ -139,6 +143,60 @@ def test_product_counterexample_to_the_minimum_bases_reading():
         'product\tF~qP_ m=2\tfails\t{"edim_of_product": 4, "joint_k": 5, "m": 2, '
         '"witness": [1, 2, 4, 5, 6, 8], "witness_generates": true}'
     )
+
+
+def _exact_product_report(g, m):
+    """The product check's report by its defining rule: edim of the built
+    product solved exactly, and the witness tested on the built product."""
+    k, cover = min_joint_cover(g)
+    edim = path_product_edim(g, m).value
+    witness = witness_from_joint_cover(g, m, cover)
+    witness_ok = is_edge_generator(cartesian_path(g, m).graph, witness)
+    gid = f"{write_graph6(g)} m={m}"
+    if k <= edim <= k + 1 and witness_ok:
+        return TheoremReport("product", gid, HOLDS)
+    return TheoremReport(
+        "product", gid, FAILS,
+        {"joint_k": k, "edim_of_product": edim, "m": m,
+         "witness": sorted(witness), "witness_generates": witness_ok},
+    )
+
+
+def test_product_check_matches_its_exact_rule_on_every_class():
+    for n in range(2, 7):
+        for mask, _ in connected_classes(n):
+            g = _graph_of_mask(n, mask)
+            for m in (2, 3, 4):
+                assert check_product_theorem(g, m) == _exact_product_report(g, m), (n, mask, m)
+
+
+@given(connected_graphs(max_n=8), st.integers(2, 4))
+@settings(max_examples=40, deadline=None)
+@example(g=parse_graph6("F~qP_"), m=2)  # fails: edim of the product is k - 1
+@example(g=path(2), m=2)
+def test_product_check_matches_its_exact_rule(g, m):
+    assert check_product_theorem(g, m) == _exact_product_report(g, m)
+
+
+def test_a_holding_product_check_solves_no_product(monkeypatch):
+    # the verdict needs the witness test and a refutation of k - 1 only:
+    # C_5 x P_2 has 10 vertices and 15 edges, C_5 itself 5 and 5
+    solved, greedy = [], []
+    real_cover, real_greedy = resolver._minimum_cover, resolver._greedy_cover_size
+
+    def cover_spy(levels, n_obj, want_all):
+        solved.append(n_obj)
+        return real_cover(levels, n_obj, want_all)
+
+    def greedy_spy(bits, universe):
+        greedy.append(len(bits))
+        return real_greedy(bits, universe)
+
+    monkeypatch.setattr(resolver, "_minimum_cover", cover_spy)
+    monkeypatch.setattr(theorems, "_minimum_cover", cover_spy)
+    monkeypatch.setattr(resolver, "_greedy_cover_size", greedy_spy)
+    assert check_product_theorem(cycle(5), 2).verdict == HOLDS
+    assert solved == [5, 5] and greedy == [5, 5]  # the joint cover's two solves on C_5
 
 
 @pytest.mark.parametrize("check", [
