@@ -15,7 +15,13 @@ rows over the composed levels, and cartesian_path + is_edge_generator, a
 built product and a BFS from the witness.  It then times the product
 check's verdict both ways: the decision (pair bitsets, the witness test and
 resolver._fits refuting k - 1 landmarks) and resolver._minimum_cover, the
-exact edim.  It exits 1 if either pair of answers disagrees.  The graphs'
+exact edim.  It exits 1 if either pair of answers disagrees.  On hard_gnp
+graph 0 it also times the gated search over the minimal separator sets:
+resolver._greedy_cover_size on those sets, resolver._branch_and_bound_size
+from the greedy bound _minimum_cover starts it from and from the optimum
+(the refutation alone), and the witness scan, the first cover
+resolver._covers yields at the optimum.  It exits 1 if a branch-and-bound
+value is not resolver._minimum_cover's.  The graphs'
 distances are computed before any timing.  Prints one tab-separated line
 per input, problem and kernel:
 input, problem, objects, kernel, best seconds.  Each K must be at least 1
@@ -114,6 +120,26 @@ def product_check(repeat: int, name: str, factor, composed, n_obj: int) -> None:
             sys.exit(f"{name}: the {what} disagree")
 
 
+def gated_search(repeat: int, name: str, problem: str, levels, n_obj: int, bits, universe, minimal) -> None:
+    """Time the kernels of _minimum_cover's gated search on the minimal
+    separator sets `minimal`; exit 1 if a branch-and-bound value is not
+    _minimum_cover's."""
+    kept, reduced = minimal
+    sets = (1 << len(kept)) - 1
+    opt = resolver._minimum_cover(levels, n_obj, False).value
+    secs, greedy = best_of(repeat, resolver._greedy_cover_size, reduced, sets)
+    print(f"{name}\t{problem}\t{n_obj}\t_greedy_cover_size(minimal sets)\t{secs:.6g}", flush=True)
+    starts = {"greedy": min(resolver._greedy_cover_size(bits, universe), greedy), "optimum": opt}
+    for start, upper in starts.items():
+        secs, value = best_of(repeat, resolver._branch_and_bound_size, reduced, sets, kept, upper)
+        print(f"{name}\t{problem}\t{n_obj}\t_branch_and_bound_size(from {start})\t{secs:.6g}", flush=True)
+        if value != opt:
+            sys.exit(f"{name} {problem}: branch-and-bound from {upper} gave {value}, _minimum_cover {opt}")
+    suffix = resolver._suffix_unions(reduced)
+    secs, _ = best_of(repeat, lambda: next(resolver._covers(reduced, suffix, sets, opt)))
+    print(f"{name}\t{problem}\t{n_obj}\twitness scan\t{secs:.6g}", flush=True)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeat", type=int, default=10, help="calls per kernel; the best is printed")
@@ -144,8 +170,10 @@ def main() -> None:
             secs, (bits, universe) = best_of(args.repeat, resolver._pair_bitsets, obj_levels, n_obj)
             print(f"{name}\t{problem}\t{n_obj}\t_pair_bitsets\t{secs:.6g}", flush=True)
             rows = level_rows(obj_levels, n_obj)
-            secs, _ = best_of(args.repeat, resolver._minimal_separators, bits, universe, rows, n_obj)
+            secs, minimal = best_of(args.repeat, resolver._minimal_separators, bits, universe, rows, n_obj)
             print(f"{name}\t{problem}\t{n_obj}\t_minimal_separators\t{secs:.6g}", flush=True)
+            if name == "hard_gnp0":
+                gated_search(args.repeat, name, problem, obj_levels, n_obj, bits, universe, minimal)
 
 
 if __name__ == "__main__":

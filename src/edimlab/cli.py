@@ -23,7 +23,7 @@ from .constructions import (
 )
 from .errors import BadParamsError, DisconnectedError, FormatError, GraphError
 from .experiments import survey_triples
-from .formats import parse_graph_text, write_edge_list, write_graph6
+from .formats import edge_list_chunks, parse_graph_text, write_graph6
 from .graph import Graph
 from .resolver import edge_metric_dimension, metric_dimension, min_joint_cover
 from .theorems import CHECKS, FAILS, check_Fk_theorem, check_Hk_theorem, sweep_theorem
@@ -161,10 +161,11 @@ def cmd_construct(args) -> int:
             raise BadParamsError(f"{args.what} takes exactly one parameter k")
         obj = _build_from_tokens([args.what, *args.params])
     g = _graph_of(obj)
-    text = write_graph6(g) + "\n" if args.format == "graph6" else write_edge_list(g)
+    chunks = (write_graph6(g) + "\n",) if args.format == "graph6" else edge_list_chunks(g)
     if args.out:
         out = Path(args.out)
-        out.write_text(text)
+        with out.open("w") as f:
+            f.writelines(chunks)
         labels = (
             obj.labels
             if isinstance(obj, LabeledConstruction)
@@ -174,7 +175,7 @@ def cmd_construct(args) -> int:
         _write_json(sidecar, {str(i): lab for i, lab in enumerate(labels)})
         sys.stdout.write(f"wrote {out} (n={g.n}, m={g.m}) and {sidecar}\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return 0
 
 

@@ -16,6 +16,9 @@ from .errors import FormatError
 from .graph import MAX_VERTICES, Graph, _graph_from_edges, build_graph
 
 GRAPH6_HEADER = ">>graph6<<"
+# complete 4096 has 8.4 million edges: its edge list as one string of line
+# strings outgrows 1 GiB of address space
+_EDGE_LIST_CHUNK_LINES = 1 << 16
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
@@ -57,10 +60,17 @@ def parse_edge_list(text: str) -> Graph:
     return build_graph(n, edges)
 
 
+def edge_list_chunks(g: Graph):
+    """The edge-list text of g in pieces of at most _EDGE_LIST_CHUNK_LINES
+    lines each, so a writer never holds more than one piece of a large graph."""
+    yield f"{g.n} {g.m}\n"
+    edges = g.edges
+    for start in range(0, len(edges), _EDGE_LIST_CHUNK_LINES):
+        yield "".join([f"{u} {v}\n" for u, v in edges[start:start + _EDGE_LIST_CHUNK_LINES]])
+
+
 def write_edge_list(g: Graph) -> str:
-    out = [f"{g.n} {g.m}"]
-    out.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(out) + "\n"
+    return "".join(edge_list_chunks(g))
 
 
 def _g6_size(n: int) -> bytes:

@@ -54,6 +54,11 @@ meets every pair's separator set, iff S meets every inclusion-minimal one,
 since each separator set contains a minimal one.  So the covers of each
 size are the same family, listed by the same generator in the same order,
 and the value, the witness and the bases are those of the full instance.
+For the same reason a greedy cover of the minimal sets covers every pair,
+so the branch-and-bound starts from the lesser of the two greedy bounds.
+It decides its last level inline: a child that could beat the best size
+found only by one more landmark gets no node of its own, just a test of
+the landmarks that separate one of its uncovered pairs.
 
 A solve whose landmarks x C(objects, 2) exceeds MAX_PAIR_BITS raises
 NTooLargeError before it computes anything; the bitsets take about twice
@@ -290,6 +295,7 @@ def _minimal_separators(bits: list[int], universe: int, rows, n_obj: int) -> tup
     landmarks = range(len(bits))
     counts = _separator_counts(bits)
     kept: list[int] = []
+    reduced = [0] * len(bits)
     alive = universe
     c = 0
     while alive:
@@ -302,32 +308,32 @@ def _minimal_separators(bits: list[int], universe: int, rows, n_obj: int) -> tup
             i, j = divmod(cls.bit_length() - 1, n_obj + 1)
             ci, cj = cols[i], cols[j]
             sep = 0
-            struck = universe
+            struck = alive
+            k = 1 << len(kept)
             for v in landmarks:
                 if ci[v] != cj[v]:
                     sep |= 1 << v
                     struck &= bits[v]
+                    reduced[v] |= k
             kept.append(sep)
-            alive ^= alive & struck
-            cls ^= cls & struck
-    reduced = [0] * len(bits)
-    for k, sep in enumerate(kept):
-        while sep:
-            low = sep & -sep
-            sep ^= low
-            reduced[low.bit_length() - 1] |= 1 << k
+            alive ^= struck
+            cls &= alive
     return kept, reduced
 
 
 def _branch_and_bound_size(bits: list[int], universe: int, seps: list[int], upper: int) -> int:
-    """Fewest landmarks whose bitsets cover `universe`, given a cover of size `upper`.
+    """min(upper, fewest landmarks whose bitsets cover `universe`), for any
+    upper >= 1: `upper` need not be the size of a cover (`_fits` passes
+    size + 1), and only covers smaller than it are searched for.
 
     seps[p] is the mask of the landmarks whose bitsets hold pair p.
     Depth-first over uncovered pairs: each node branches on a pair with the
     fewest allowed separating landmarks, and child t takes the t-th of them
     while the earlier ones stay forbidden in it and below.  A node is cut
     when its chosen count plus a greedy packing of uncovered pairs with
-    pairwise disjoint allowed separators reaches the best size found.
+    pairwise disjoint allowed separators reaches the best size found.  A
+    child that could beat the best size only by one more landmark is
+    decided without a node of its own.
     """
     # complements within the universe: `x & ~b` on big ints costs several
     # times `x & c`, and so does `x & -x`, so pairs are picked by top bit
@@ -336,7 +342,8 @@ def _branch_and_bound_size(bits: list[int], universe: int, seps: list[int], uppe
 
     def rec(unc: int, size: int, allowed: int, counts: list[int]) -> None:
         # counts: bit-sliced count, per uncovered pair, of the allowed
-        # landmarks separating it (see _separator_counts)
+        # landmarks separating it (see _separator_counts); every caller
+        # passes a list of its own, so this node updates it in place
         nonlocal best
         fewest = unc
         for s in reversed(counts):
@@ -362,7 +369,6 @@ def _branch_and_bound_size(bits: list[int], universe: int, seps: list[int], uppe
             bound += 1
         if bound >= best:
             return
-        counts = counts[:]
         while branch:
             low = branch & -branch
             branch ^= low
@@ -375,6 +381,20 @@ def _branch_and_bound_size(bits: list[int], universe: int, seps: list[int], uppe
                 return
             if size + 2 >= best:
                 # nxt needs another landmark, and size + 2 cannot beat best
+                continue
+            if size + 3 == best:
+                # the last level, decided here: the child beats best only
+                # if one more allowed landmark covers nxt, and that landmark
+                # separates nxt's top pair.  No return on success: a later
+                # sibling may still cover alone.  best - size stays <= 3, so
+                # no later sibling recurses and counts need no update.
+                hits = seps[nxt.bit_length() - 1] & allowed
+                while hits:
+                    h = hits & -hits
+                    hits ^= h
+                    if not nxt & outside[h.bit_length() - 1]:
+                        best = size + 2
+                        break
                 continue
             rec(nxt, size + 1, allowed, [s & keep for s in counts])
             if size + 1 >= best:
@@ -418,7 +438,9 @@ def _minimum_cover(levels: list[list[int]], n_obj: int, want_all: bool) -> Dimen
         seps, bits = _minimal_separators(bits, universe, level_rows(levels, n_obj), n_obj)
         universe = (1 << len(seps)) - 1
         suffix = _suffix_unions(bits)
-        opt = _branch_and_bound_size(bits, universe, seps, opt)
+        # a greedy cover of the minimal sets covers every pair; it is the
+        # smaller one in 43 of the 191 gated hard_gnp seed-0 solves
+        opt = _branch_and_bound_size(bits, universe, seps, min(opt, _greedy_cover_size(bits, universe)))
     else:
         # generator existence is monotone in size: refute sizes downward
         while opt > 1 and (found := next(_covers(bits, suffix, universe, opt - 1), None)):

@@ -133,6 +133,26 @@ def test_exit_code_2_on_family_over_the_vertex_cap(argv, order):
     assert f"would have {order} vertices" in lines[0]
 
 
+def test_family_at_the_vertex_cap_fits_in_1_gib():
+    # complete 4096's edge list is 8.4 million lines: written in chunks, never whole
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no RLIMIT_AS on this platform")
+    with subprocess.Popen(
+        [sys.executable, "-m", "edimlab", "construct", "family", "complete", "4096"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
+        preexec_fn=_limit_address_space_to_1_gib,
+    ) as proc:
+        header = proc.stdout.readline()
+        edges = sum(1 for _ in proc.stdout)
+        err = proc.stderr.read().decode()
+    assert proc.returncode in (0, 2), err
+    if proc.returncode == 0:
+        assert (header, edges) == (b"4096 8386560\n", 8386560)
+    else:
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

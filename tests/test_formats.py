@@ -16,6 +16,7 @@ from edimlab import (
     write_edge_list,
     write_graph6,
 )
+from edimlab import formats
 
 from conftest import complete, connected_graphs, cycle, path
 
@@ -25,6 +26,15 @@ def test_edge_list_roundtrip():
     text = write_edge_list(g)
     assert text == "4 3\n0 1\n0 3\n1 2\n"
     assert parse_edge_list(text) == g
+
+
+@pytest.mark.parametrize("lines", [1, 2, 3, 4])
+def test_edge_list_chunks_join_to_the_edge_list(monkeypatch, lines):
+    monkeypatch.setattr(formats, "_EDGE_LIST_CHUNK_LINES", lines)
+    g = build_graph(4, [(0, 1), (1, 2), (0, 3)])
+    chunks = list(formats.edge_list_chunks(g))
+    assert "".join(chunks) == write_edge_list(g) == "4 3\n0 1\n0 3\n1 2\n"
+    assert max(c.count("\n") for c in chunks) <= lines
 
 
 def test_edge_list_ignores_comments_and_blanks():

@@ -244,6 +244,24 @@ def test_branch_and_bound_matches_naive(monkeypatch, bnb_calls):
     assert any(best < upper for upper, best in bnb_calls)
 
 
+def test_branch_and_bound_returns_the_lesser_of_upper_and_the_optimum(monkeypatch):
+    # upper need not be a cover size: _fits passes size + 1
+    monkeypatch.setattr(resolver, "BRANCH_AND_BOUND_MIN_SUBSETS", 10**9)  # optimum from the scans
+    graphs = [_graph_of_mask(n, mask) for n in range(1, 7) for mask, _ in connected_classes(n)]
+    rng = random.Random(18)
+    graphs += [_gnp_connected(rng, n, p) for n in range(8, 15) for p in (0.3, 0.5, 0.7)]
+    for g in graphs:
+        for kind, (levels, n_obj) in _object_levels(g).items():
+            bits, universe = resolver._pair_bitsets(levels, n_obj)
+            if universe == 0:
+                continue
+            opt = resolver._minimum_cover(levels, n_obj, False).value
+            kept, reduced = resolver._minimal_separators(bits, universe, level_rows(levels, n_obj), n_obj)
+            for upper in range(1, len(bits) + 2):
+                got = resolver._branch_and_bound_size(reduced, (1 << len(kept)) - 1, kept, upper)
+                assert got == min(upper, opt), (g.edges, kind, upper)
+
+
 def test_search_path_is_chosen_from_the_input(bnb_calls):
     # n <= 6: C(6, greedy - 1) is tiny, so sizes are refuted by lex scans
     edge_metric_dimension(complete(6))
@@ -360,20 +378,23 @@ def test_min_joint_cover_is_the_least_pair_of_bases():
 
 def test_minimal_separators_are_the_inclusion_minimal_sets():
     rng = random.Random(8)
-    for n in range(7, 13):
-        for p in (0.3, 0.6):
-            g = _gnp_connected(rng, n, p)
-            levels = _object_levels(g)
-            for kind, seps in _separator_sets(g).items():
-                obj_levels, n_obj = levels[kind]
-                bits, universe = resolver._pair_bitsets(obj_levels, n_obj)
-                rows = level_rows(obj_levels, n_obj)
-                kept, reduced = resolver._minimal_separators(bits, universe, rows, n_obj)
-                got = [frozenset(v for v in range(n) if sep >> v & 1) for sep in kept]
-                distinct = set(seps)
-                assert len(got) == len(set(got))
-                assert set(got) == {s for s in distinct if not any(t < s for t in distinct)}
-                assert reduced == [sum(1 << k for k, s in enumerate(got) if v in s) for v in range(n)]
+    cases = [(_gnp_connected(rng, n, p), ("dim", "edim")) for n in range(7, 13) for p in (0.3, 0.6)]
+    # dense n = 22 edim, as in the gated solves: 5778 pairs, 541 kept sets
+    cases.append((_gnp_connected(random.Random(3), 22, 0.5), ("edim",)))
+    for g, kinds in cases:
+        n = g.n
+        levels = _object_levels(g)
+        seps = _separator_sets(g)
+        for kind in kinds:
+            obj_levels, n_obj = levels[kind]
+            bits, universe = resolver._pair_bitsets(obj_levels, n_obj)
+            rows = level_rows(obj_levels, n_obj)
+            kept, reduced = resolver._minimal_separators(bits, universe, rows, n_obj)
+            got = [frozenset(v for v in range(n) if sep >> v & 1) for sep in kept]
+            distinct = set(seps[kind])
+            assert len(got) == len(set(got))
+            assert set(got) == {s for s in distinct if not any(t < s for t in distinct)}
+            assert reduced == [sum(1 << k for k, s in enumerate(got) if v in s) for v in range(n)]
 
 
 @pytest.mark.parametrize(
