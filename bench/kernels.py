@@ -2,28 +2,28 @@
 
     python3 bench/kernels.py [--repeat R] [--fk K [K ...]]
 
-Times resolver._edge_levels, resolver._pair_bitsets and
+Times graph._edge_levels, resolver._pair_bitsets and
 resolver._minimal_separators on fixed inputs: the Cartesian product with
 P_2 of the first product6 graph of seed 0, hard_gnp graph 0 of seed 0
 (both from perfbench/gen.py), and F_k for each K of --fk (default 4 and 5).
 Each kernel runs on the levels of the dim problem and of the edim problem
 (_edge_levels on edim only).  On the product, the edim problem also times
 constructions._path_product_edge_levels, the same edge levels composed
-from the factor's distances, and the product check's witness test both
-ways: resolver._generates, the union of the witness landmarks' pair-bitset
-rows over the composed levels, and cartesian_path + is_edge_generator, a
-built product and a BFS from the witness.  It then times the product
-check's verdict both ways: the decision (pair bitsets, the witness test and
-resolver._fits refuting k - 1 landmarks) and resolver._minimum_cover, the
-exact edim.  It exits 1 if either pair of answers disagrees.  On hard_gnp
-graph 0 it also times the gated search over the minimal separator sets:
+from the factor's distances and edge levels, and the product check's
+witness test both ways: resolver._generates, the union of the witness
+landmarks' pair-bitset rows over the composed levels, and cartesian_path +
+is_edge_generator, a built product and a BFS from the witness.  It then
+times the product check's verdict both ways: the decision (pair bitsets,
+the witness test and resolver._fits refuting k - 1 landmarks) and
+resolver._minimum_cover, the exact edim.  It exits 1 if either pair of
+answers disagrees.  On hard_gnp graph 0 it also times the gated search over the minimal separator sets:
 resolver._greedy_cover_size on those sets, resolver._branch_and_bound_size
 from the greedy bound _minimum_cover starts it from and from the optimum
 (the refutation alone), and the witness scan, the first cover
 resolver._covers yields at the optimum.  It exits 1 if a branch-and-bound
-value is not resolver._minimum_cover's.  The graphs'
-distances are computed before any timing.  Prints one tab-separated line
-per input, problem and kernel:
+value is not resolver._minimum_cover's.  The graphs' distances, and the
+factor's edge levels, are computed before any timing.  Prints one
+tab-separated line per input, problem and kernel:
 input, problem, objects, kernel, best seconds.  Each K must be at least 1
 and F_K's edim must fit the solvers' pair-bit cap (K <= 6); any other K
 exits 2 before anything is built or timed.  Needs only the standard
@@ -48,7 +48,7 @@ from edimlab.constructions import (  # noqa: E402
     witness_from_joint_cover,
 )
 from edimlab.errors import NTooLargeError  # noqa: E402
-from edimlab.graph import all_pairs_distances, build_graph, level_rows  # noqa: E402
+from edimlab.graph import _edge_levels, all_pairs_distances, build_graph, level_rows  # noqa: E402
 
 
 def best_of(repeat: int, fn, *args):
@@ -155,16 +155,16 @@ def main() -> None:
     for name, g, factor in inputs(args.fk):
         levels = all_pairs_distances(g).levels
         if factor is not None:
-            factor_elevels = resolver._edge_levels(factor, all_pairs_distances(factor).levels)
+            factor.edge_levels  # kept by the factor, read by _path_product_edge_levels
         for problem in ("dim", "edim"):
             n_obj = g.n
             obj_levels = levels
             if problem == "edim":
                 n_obj = g.m
-                secs, obj_levels = best_of(args.repeat, resolver._edge_levels, g, levels)
+                secs, obj_levels = best_of(args.repeat, _edge_levels, g, levels)
                 print(f"{name}\t{problem}\t{n_obj}\t_edge_levels\t{secs:.6g}", flush=True)
                 if factor is not None:
-                    secs, composed = best_of(args.repeat, _path_product_edge_levels, factor, 2, factor_elevels)
+                    secs, composed = best_of(args.repeat, _path_product_edge_levels, factor, 2)
                     print(f"{name}\t{problem}\t{n_obj}\t_path_product_edge_levels\t{secs:.6g}", flush=True)
                     product_check(args.repeat, name, factor, composed, n_obj)
             secs, (bits, universe) = best_of(args.repeat, resolver._pair_bitsets, obj_levels, n_obj)

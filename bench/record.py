@@ -11,7 +11,11 @@ both sides.  The output holds, per workload and end-to-end metric,
 each side's median and quartiles, the number of pairs (at least 2) and
 how many the change won (ties count for neither side), with the median
 host_scale of each side, the Python version and the core count; every run
-is kept under "runs".  Exits 1 if a run fails its output checks.
+is kept under "runs".  Exits 1 if a run fails its output checks, and 2
+before any run if exactly one checkout holds compiled bytecode
+(src/edimlab/__pycache__): with PYTHONDONTWRITEBYTECODE set, the other
+would compile every module on every worker start and read a slower
+setup_s.
 """
 
 import argparse
@@ -63,6 +67,12 @@ def main() -> None:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": ROOT}
+    compiled = {side: (path / "src" / "edimlab" / "__pycache__").is_dir() for side, path in sides.items()}
+    if len(set(compiled.values())) > 1:
+        side = min(compiled, key=compiled.get)
+        sys.stderr.write(f"record: {sides[side]} has no src/edimlab/__pycache__ and the other checkout has; "
+                         "compile both or neither\n")
+        sys.exit(2)
     plan = []
     for item in args.runs:
         workload, _, pairs = item.partition("=")

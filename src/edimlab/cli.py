@@ -157,8 +157,6 @@ def cmd_construct(args) -> int:
             raise BadParamsError("family needs a name and parameters")
         obj = _build_from_tokens(args.params)
     else:
-        if len(args.params) != 1:
-            raise BadParamsError(f"{args.what} takes exactly one parameter k")
         obj = _build_from_tokens([args.what, *args.params])
     g = _graph_of(obj)
     chunks = (write_graph6(g) + "\n",) if args.format == "graph6" else edge_list_chunks(g)

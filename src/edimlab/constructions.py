@@ -18,7 +18,8 @@ on the product.  Distances add across the factors, d((u, i), (v, j)) =
 d_g(u, v) + |i - j|, so from landmark (u, i) an edge of copy j lies at
 its distance from u in g plus |i - j|, and the rung (v, j)-(v, j+1) at
 d_g(u, v) plus the distance from i to {j, j+1}.  The product's edge
-levels are therefore g's BFS level masks and g's edge levels, shifted.
+levels are therefore g's BFS level masks and g's edge levels, both kept
+by g (`g.distances.levels`, `g.edge_levels`), shifted.
 Copies count from 0 here: landmark (u, i) keeps cartesian_path's index
 i*n + u.  The objects are numbered by copy, then rungs: edge k of g in
 copy j is object j*|E| + k, and the rung (v, j)-(v, j+1) is object
@@ -26,8 +27,8 @@ m*|E| + j*n + v.  The value and the witness do not depend on how the
 objects are numbered.  It refuses what the generic solve refuses, before
 reading any distance: a bad m, a product over the vertex cap, a
 disconnected g, and a product over the solvers' pair-bit cap.  The
-product check reads g alone: it decides its bounds on the same edge levels
-(composed with g's edge levels, which its joint cover has computed), so it
+product check reads g alone: it decides its bounds on the same edge
+levels, composed from the levels g keeps after its joint cover, so it
 builds no product and runs no BFS on one.
 """
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 from .errors import BadParamsError, DisconnectedError, KOutOfRangeError, MTooSmallError, NoEdgesError
 from .graph import MAX_VERTICES, Graph, _graph_from_edges, build_graph, is_connected
-from .resolver import DimensionResult, _check_pair_bits, _edge_levels, _minimum_cover, min_joint_cover
+from .resolver import DimensionResult, _check_pair_bits, _minimum_cover, min_joint_cover
 
 MAX_FK_K = 11  # 2^k + k (+1 for H_k) must stay within MAX_VERTICES
 
@@ -125,28 +126,25 @@ def path_product_edim(g: Graph, m: int) -> DimensionResult:
     return _minimum_cover(*_path_product_levels(g, m), False)
 
 
-def _path_product_levels(g: Graph, m: int, elevels=None) -> tuple[list[list[int]], int]:
+def _path_product_levels(g: Graph, m: int) -> tuple[list[list[int]], int]:
     """The edge levels of g x P_m and its object count, behind the guards
-    of the generic solve (module docstring).  elevels are g's edge levels,
-    computed after the guards when not given."""
+    of the generic solve (module docstring)."""
     total = _product_order(g.n, m)
     if not is_connected(g):
         raise DisconnectedError("edge metric dimension requires a connected graph")
     n_obj = m * g.m + (m - 1) * g.n
     _check_pair_bits(total, n_obj)
-    if elevels is None:
-        elevels = _edge_levels(g, g.distances.levels)
-    return _path_product_edge_levels(g, m, elevels), n_obj
+    return _path_product_edge_levels(g, m), n_obj
 
 
-def _path_product_edge_levels(g: Graph, m: int, elevels: list[list[int]]) -> list[list[int]]:
+def _path_product_edge_levels(g: Graph, m: int) -> list[list[int]]:
     """Edge masks of g x P_m by distance from each of its vertices, read off
-    g's distances and g's edge levels `elevels`; objects and landmarks
-    numbered as in the module docstring."""
+    g's distances and g's edge levels; objects and landmarks numbered as in
+    the module docstring."""
     n, size = g.n, g.m
     rungs = m * size
     n_obj = rungs + (m - 1) * n
-    vlevels = g.distances.levels
+    vlevels, elevels = g.distances.levels, g.edge_levels
     # u's edge and vertex levels, each packed in one integer with level d at bit d * n_obj
     packed = []
     for u in range(n):

@@ -11,9 +11,10 @@ that returns, per source, the mask of the vertices at each distance.  The
 distance rows, the diameter and the solvers' pair bitsets are all read
 off those level masks.  `all_pairs_distances` returns them as a
 `DistanceMatrix`, which spreads them into distance rows only when its
-rows are read.  A Graph computes its connectivity and its DistanceMatrix
-on first use and keeps them, outside `==` and `hash`, for as long as it
-lives: every solve and check on it reads the same ones.
+rows are read.  A Graph computes its connectivity, its DistanceMatrix and
+its edge levels (read off the same masks by `_edge_levels`) on first use
+and keeps them, outside `==` and `hash`, for as long as it lives: every
+solve and check on it reads the same ones.
 """
 
 from dataclasses import dataclass, field
@@ -62,6 +63,11 @@ class Graph:
     @cached_property
     def distances(self) -> "DistanceMatrix":
         return DistanceMatrix(self.n, tuple(map(tuple, bfs_levels(self))))
+
+    @cached_property
+    def edge_levels(self) -> tuple[tuple[int, ...], ...]:
+        """edge_levels[v][d]: mask of the edge indices at distance d from v."""
+        return _edge_levels(self, self.distances.levels)
 
 
 @dataclass(frozen=True)
@@ -143,6 +149,33 @@ def _levels_from(adj: tuple[int, ...], src: int) -> tuple[list[int], int]:
             return levels, seen
         levels.append(frontier)
         seen |= frontier
+
+
+def _edge_levels(g: Graph, levels) -> tuple[tuple[int, ...], ...]:
+    """Edge masks by distance from each source of `levels`, over edge indices.
+
+    An edge is within distance d of v iff one of its endpoints is, so the
+    edges at distance d are E(seen<=d) ^ E(seen<d): one OR of an incident-edge
+    mask per vertex and source.
+    """
+    incident = [0] * g.n
+    for k, (x, y) in enumerate(g.edges):
+        incident[x] |= 1 << k
+        incident[y] |= 1 << k
+    out = []
+    for masks in levels:
+        reached = 0
+        edge_masks = []
+        for mask in masks:
+            grown = reached
+            while mask:
+                low = mask & -mask
+                grown |= incident[low.bit_length() - 1]
+                mask ^= low
+            edge_masks.append(grown ^ reached)
+            reached = grown
+        out.append(tuple(edge_masks))
+    return tuple(out)
 
 
 def is_connected(g: Graph) -> bool:

@@ -10,17 +10,17 @@ bit i * (objects + 1) + j, so the pairs are the bits above the diagonal of
 a grid with one spare column.  A set S is a generator iff the union of its
 bitsets covers every pair.
 
-The bitsets come straight from the BFS level masks that
-`all_pairs_distances` keeps in its `DistanceMatrix` (`dm.levels`): two
-objects at the same level are not separated.  The edge levels come from
-the same masks: with E(X) the edges incident to the vertex set X, the
-edges at distance d from v are E(seen<=d) ^ E(seen<d), where seen<=d is
-the union of v's first d + 1 vertex levels.  A graph keeps its distances
-and connectivity once computed, so both solves on one graph (as in
-`min_joint_cover`) share one BFS and one connectivity test.
-`is_vertex_generator` and `is_edge_generator` keep their own definition,
-pairwise distinct signature tuples, and run the BFS from the landmarks
-only (`graph.bfs_levels`).  `_generates` tests a landmark set on pair
+The bitsets come straight from the level masks a graph keeps: the BFS
+levels of its `DistanceMatrix` (`g.distances.levels`) for vertices and
+its edge levels (`g.edge_levels`, read off the same masks) for edges; two
+objects at the same level are not separated.  A graph keeps its
+connectivity, distances and edge levels once computed, so every solve on
+one graph (as both of `min_joint_cover`'s) shares one BFS and one
+connectivity test.  Each solve runs its guards before it reads any
+levels.  `is_vertex_generator` and `is_edge_generator` keep their own
+definition, pairwise distinct signature tuples, and run the BFS from the
+landmarks only (`graph.bfs_levels`), with the edge levels read off those
+landmark levels.  `_generates` tests a landmark set on pair
 bitsets already built, with the criterion of the cover search: the union
 of its bitsets covers every pair.
 
@@ -73,6 +73,7 @@ from .errors import DisconnectedError, NoEdgesError, NotAnEdgeError, NTooLargeEr
 from .graph import (
     DistanceMatrix,
     Graph,
+    _edge_levels,
     all_pairs_distances,
     bfs_levels,
     check_vertices,
@@ -117,33 +118,6 @@ def edge_signature(dm: DistanceMatrix, e: tuple[int, int], landmarks) -> tuple[i
     check_vertices(dm.n, landmarks)
     dx, dy = dm.d[x], dm.d[y]
     return tuple(min(dx[v], dy[v]) for v in landmarks)
-
-
-def _edge_levels(g: Graph, levels: list[list[int]]) -> list[list[int]]:
-    """Edge masks by distance from each source of `levels`, over edge indices.
-
-    An edge is within distance d of v iff one of its endpoints is, so the
-    edges at distance d are E(seen<=d) ^ E(seen<d): one OR of an incident-edge
-    mask per vertex and source.
-    """
-    incident = [0] * g.n
-    for k, (x, y) in enumerate(g.edges):
-        incident[x] |= 1 << k
-        incident[y] |= 1 << k
-    out = []
-    for masks in levels:
-        reached = 0
-        edge_masks = []
-        for mask in masks:
-            grown = reached
-            while mask:
-                low = mask & -mask
-                grown |= incident[low.bit_length() - 1]
-                mask ^= low
-            edge_masks.append(grown ^ reached)
-            reached = grown
-        out.append(edge_masks)
-    return out
 
 
 def _is_generator(g: Graph, s, n_obj: int, object_levels) -> bool:
@@ -483,7 +457,7 @@ def edge_metric_dimension(g: Graph, want_all_bases: bool = False) -> DimensionRe
     if not is_connected(g):
         raise DisconnectedError("edge metric dimension requires a connected graph")
     _check_pair_bits(g.n, g.m)
-    return _minimum_cover(_edge_levels(g, all_pairs_distances(g).levels), g.m, want_all_bases)
+    return _minimum_cover(g.edge_levels, g.m, want_all_bases)
 
 
 def min_joint_cover(g: Graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -491,13 +465,6 @@ def min_joint_cover(g: Graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ..
 
     Returns (k, (S, T)) with the lexicographically least achieving pair.
     """
-    k, pair, _ = _joint_cover(g)
-    return k, pair
-
-
-def _joint_cover(g: Graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]], list[list[int]]]:
-    """`min_joint_cover(g)`'s k and pair, then g's edge levels, which its edge
-    solve reads and a caller may read again."""
     if not is_connected(g):
         raise DisconnectedError("joint cover requires a connected graph")
     if g.m == 0:
@@ -505,10 +472,8 @@ def _joint_cover(g: Graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]
     # both guards before g's distances are computed
     _check_pair_bits(g.n, g.n)
     _check_pair_bits(g.n, g.m)
-    levels = all_pairs_distances(g).levels
-    elevels = _edge_levels(g, levels)
-    vres = _minimum_cover(levels, g.n, True)
-    eres = _minimum_cover(elevels, g.m, True)
+    vres = _minimum_cover(all_pairs_distances(g).levels, g.n, True)
+    eres = _minimum_cover(g.edge_levels, g.m, True)
     # the bases come in lexicographic order: the first pair at the least size is the least
     t_masks = [(sum(1 << v for v in t), t) for t in eres.all_bases]
     best = None
@@ -518,4 +483,4 @@ def _joint_cover(g: Graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]
             size = (s_mask | t_mask).bit_count()
             if best is None or size < best[0]:
                 best = size, s, t
-    return best[0], (best[1], best[2]), elevels
+    return best[0], (best[1], best[2])

@@ -33,11 +33,11 @@ from .graph import Graph, bits_of, build_graph, diameter, is_connected, max_degr
 from .resolver import (
     _fits,
     _generates,
-    _joint_cover,
     _minimum_cover,
     _pair_bitsets,
     edge_metric_dimension,
     metric_dimension,
+    min_joint_cover,
 )
 
 HOLDS = "holds"
@@ -259,8 +259,8 @@ def check_product_theorem(g: Graph, m: int) -> TheoremReport:
     """
     _check_path_copies(m)
     gid = f"{_graph_id(g)} m={m}"
-    k, cover, elevels = _joint_cover(g)
-    levels, n_obj = _path_product_levels(g, m, elevels)
+    k, cover = min_joint_cover(g)
+    levels, n_obj = _path_product_levels(g, m)
     bits, universe = _pair_bitsets(levels, n_obj)
     witness = witness_from_joint_cover(g, m, cover)
     witness_ok = _generates(bits, universe, witness)
@@ -277,7 +277,6 @@ def check_product_theorem(g: Graph, m: int) -> TheoremReport:
 @dataclass(frozen=True)
 class SweepSummary:
     theorem_id: str
-    n_values: tuple[int, ...]
     graphs: int
     holds: int
     fails: int
@@ -359,6 +358,6 @@ def sweep_theorem(theorem_id: str, n_max: int, threads: int = 1, m: int = 2) -> 
         per_n.append((n, counts.total(), counts[HOLDS], counts[FAILS], counts[NOT_APPLICABLE]))
     failures.sort(key=lambda r: r.graph)
     return SweepSummary(
-        theorem_id, tuple(n for n, *_ in per_n), total.total(), total[HOLDS], total[FAILS],
-        total[NOT_APPLICABLE], tuple(failures), tuple(per_n),
+        theorem_id, total.total(), total[HOLDS], total[FAILS], total[NOT_APPLICABLE],
+        tuple(failures), tuple(per_n),
     )

@@ -79,6 +79,21 @@ def bfs_runs(monkeypatch):
     return runs
 
 
+@pytest.fixture
+def edge_level_builds(monkeypatch):
+    """The graph of every all-source edge-level build (Graph.edge_levels
+    filling its cache through graph._edge_levels) the test makes, in order."""
+    builds = []
+    real = graph._edge_levels
+
+    def counted(g, levels):
+        builds.append(g)
+        return real(g, levels)
+
+    monkeypatch.setattr(graph, "_edge_levels", counted)
+    return builds
+
+
 @st.composite
 def connected_graphs(draw, min_n=2, max_n=7):
     """Random connected graph: a random spanning tree plus extra edges."""

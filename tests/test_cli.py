@@ -156,6 +156,31 @@ def test_family_at_the_vertex_cap_fits_in_1_gib():
 @pytest.mark.parametrize(
     "argv",
     [
+        ("compute", "dim", "--construct", "complete", "4096"),
+        ("compute", "joint", "--construct", "complete", "4096"),
+        pytest.param(("compute", "edim", "--construct", "complete", "4096"), marks=pytest.mark.extended),
+        pytest.param(("verify", "ncondition", "--g", "complete:4096"), marks=pytest.mark.extended),
+    ],
+)
+def test_solves_at_the_vertex_cap_fit_in_1_gib(argv):
+    # complete 4096's edge levels alone take several GB: the solves must be
+    # refused by the pair-bit cap before any levels are built
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no RLIMIT_AS on this platform")
+    proc = subprocess.run(
+        [sys.executable, "-m", "edimlab", *argv],
+        capture_output=True, text=True, env=cli_env(), preexec_fn=_limit_address_space_to_1_gib,
+    )
+    assert proc.returncode in (0, 2), proc.stderr
+    if proc.returncode == 2:
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         # path copies: m < 2 is refused by a sweep as by a single graph
         ("verify", "product", "--sweep", "3", "--m", "0"),
         ("verify", "product", "--sweep", "3"),

@@ -33,8 +33,8 @@ from edimlab.constructions import (
     witness_from_joint_cover,
 )
 from edimlab.experiments import _graph_of_mask
-from edimlab.graph import level_rows
-from edimlab.resolver import _edge_levels, _generates, _pair_bitsets
+from edimlab.graph import _edge_levels, level_rows
+from edimlab.resolver import _generates, _pair_bitsets
 
 from conftest import complete, connected_graphs, cycle, path
 
@@ -156,7 +156,7 @@ def test_path_product_edge_levels_are_the_products_edge_levels(g, m):
                 number[(j * g.n + v, (j + 1) * g.n + v)] = m * g.m + j * g.n + v
     assert sorted(number.values()) == list(range(prod.m))
     want = level_rows(_edge_levels(prod, all_pairs_distances(prod).levels), prod.m)
-    got = level_rows(_path_product_edge_levels(g, m, _edge_levels(g, all_pairs_distances(g).levels)), prod.m)
+    got = level_rows(_path_product_edge_levels(g, m), prod.m)
     for row, want_row in zip(got, want, strict=True):
         assert [row[number[e]] for e in prod.edges] == list(want_row)
 

@@ -10,10 +10,12 @@ from edimlab import (
     DisconnectedError,
     NoEdgesError,
     NotAnEdgeError,
+    NTooLargeError,
     VertexOutOfRangeError,
     all_pairs_distances,
     build_graph,
     cartesian_path,
+    check_product_theorem,
     connected_classes,
     construct_F,
     edge_metric_dimension,
@@ -157,10 +159,29 @@ def test_joint_cover_tests_and_searches_its_graph_once(bfs_runs):
     assert bfs_runs == [0, 0, 1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("solve", [edge_metric_dimension, min_joint_cover])
+def test_solves_test_the_pair_bit_cap_before_building_edge_levels(solve, bfs_runs, edge_level_builds):
+    # complete 300 needs 300 x C(44850, 2), about 3.0e11, edge pair bits:
+    # refused after g's connectivity test, before any all-source BFS
+    with pytest.raises(NTooLargeError):
+        solve(complete(300))
+    assert bfs_runs == [0]
+    assert edge_level_builds == []
+
+
+def test_product_check_builds_its_graphs_edge_levels_once(edge_level_builds):
+    g = cycle(5)
+    assert check_product_theorem(g, 2).verdict == "holds"
+    assert edge_level_builds == [g]
+    edge_metric_dimension(g)
+    assert edge_level_builds == [g]
+
+
 @given(connected_graphs(max_n=7))
 @settings(max_examples=40, deadline=None)
 def test_solves_on_a_graph_with_cached_distances_match_a_fresh_graph(g):
     all_pairs_distances(g)
+    g.edge_levels
     fresh = build_graph(g.n, g.edges)
     assert g == fresh and hash(g) == hash(fresh)
     assert metric_dimension(g, True) == metric_dimension(fresh, True)
@@ -311,7 +332,7 @@ def _separator_sets(g):
 def _object_levels(g):
     """Per kind, (level masks of the objects from every landmark, object count)."""
     levels = all_pairs_distances(g).levels
-    return {"dim": (levels, g.n), "edim": (resolver._edge_levels(g, levels), g.m)}
+    return {"dim": (levels, g.n), "edim": (g.edge_levels, g.m)}
 
 
 def test_level_bitsets_match_brute_force_separation():
