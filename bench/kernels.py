@@ -1,6 +1,6 @@
 """Best-of-R seconds of the pair-bitset kernels of the exact solvers.
 
-    python3 bench/kernels.py [--repeat R] [--fk K [K ...]]
+    python3 bench/kernels.py [--repeat R] [--fk K [K ...]] [--census N [N ...]]
 
 Times graph._edge_levels, resolver._pair_bitsets and
 resolver._minimal_separators on fixed inputs: the Cartesian product with
@@ -22,12 +22,17 @@ from the greedy bound _minimum_cover starts it from and from the optimum
 (the refutation alone), and the witness scan, the first cover
 resolver._covers yields at the optimum.  It exits 1 if a branch-and-bound
 value is not resolver._minimum_cover's.  The graphs' distances, and the
-factor's edge levels, are computed before any timing.  Prints one
-tab-separated line per input, problem and kernel:
+factor's edge levels, are computed before any timing.  For each N of
+--census (default 6) it times class generation: experiments._class_levels(N),
+experiments.canonical_mask over every child that run names, and
+experiments._orbit_minima over every parent it lists the automorphisms
+of; their objects are the classes on N vertices, the children and the
+parents.  Prints one tab-separated line per input, problem and kernel:
 input, problem, objects, kernel, best seconds.  Each K must be at least 1
-and F_K's edim must fit the solvers' pair-bit cap (K <= 6); any other K
-exits 2 before anything is built or timed.  Needs only the standard
-library and this checkout's src/.
+and F_K's edim must fit the solvers' pair-bit cap (K <= 6), and each N
+must be a census size, 1 to 7; any other K or N exits 2 before anything
+is built or timed.  Needs only the standard library and this checkout's
+src/.
 """
 
 import argparse
@@ -40,7 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import gen  # noqa: E402
-from edimlab import resolver  # noqa: E402
+from edimlab import experiments, resolver  # noqa: E402
 from edimlab.constructions import (  # noqa: E402
     _path_product_edge_levels,
     cartesian_path,
@@ -140,10 +145,45 @@ def gated_search(repeat: int, name: str, problem: str, levels, n_obj: int, bits,
     print(f"{name}\t{problem}\t{n_obj}\twitness scan\t{secs:.6g}", flush=True)
 
 
+def census_calls(n: int) -> dict[str, list[tuple]]:
+    """The arguments of every canonical_mask and _orbit_minima call that
+    one run of _class_levels(n) makes."""
+    calls: dict[str, list[tuple]] = {"canonical_mask": [], "_orbit_minima": []}
+    real = {name: getattr(experiments, name) for name in calls}
+
+    def recorder(name):
+        def record(*args):
+            calls[name].append(args)
+            return real[name](*args)
+        return record
+
+    for name in calls:
+        setattr(experiments, name, recorder(name))
+    try:
+        for _ in experiments._class_levels(n):
+            pass
+    finally:
+        for name, fn in real.items():
+            setattr(experiments, name, fn)
+    return calls
+
+
+def census(repeat: int, n: int) -> None:
+    """Time class generation up to n vertices and its two kernels."""
+    name = f"census{n}"
+    secs, levels = best_of(repeat, lambda: list(experiments._class_levels(n)))
+    print(f"{name}\tgeneration\t{len(levels[-1][1])}\t_class_levels\t{secs:.6g}", flush=True)
+    for kernel, args in census_calls(n).items():
+        fn = getattr(experiments, kernel)
+        secs, _ = best_of(repeat, lambda: [fn(*a) for a in args])
+        print(f"{name}\tgeneration\t{len(args)}\t{kernel}\t{secs:.6g}", flush=True)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeat", type=int, default=10, help="calls per kernel; the best is printed")
     ap.add_argument("--fk", type=int, nargs="+", default=[4, 5], metavar="K")
+    ap.add_argument("--census", type=int, nargs="+", default=[6], metavar="N")
     args = ap.parse_args()
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
@@ -152,6 +192,9 @@ def main() -> None:
             check_fk(k)
         except ValueError as err:
             ap.error(str(err))
+    for n in args.census:
+        if not 1 <= n <= experiments.CENSUS_MAX_N:
+            ap.error(f"--census {n}: N must be a census size, 1 to {experiments.CENSUS_MAX_N}")
     for name, g, factor in inputs(args.fk):
         levels = all_pairs_distances(g).levels
         if factor is not None:
@@ -174,6 +217,8 @@ def main() -> None:
             print(f"{name}\t{problem}\t{n_obj}\t_minimal_separators\t{secs:.6g}", flush=True)
             if name == "hard_gnp0":
                 gated_search(args.repeat, name, problem, obj_levels, n_obj, bits, universe, minimal)
+    for n in args.census:
+        census(args.repeat, n)
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ order-independent, so multi-process runs merge to identical output.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import factorial
 from operator import or_
@@ -51,11 +52,11 @@ class SurveyRow:
     example_graph6: str
 
 
-def _check_enum_n(n: int) -> None:
+def _check_enum_n(n: int, cap: int = MAX_ENUM_N, what: str = "exhaustive enumeration") -> None:
     if not isinstance(n, int) or n < 1:
         raise BadParamsError(f"need a positive vertex count, got {n!r}")
-    if n > MAX_ENUM_N:
-        raise NTooLargeError(f"exhaustive enumeration capped at n={MAX_ENUM_N}, got {n}")
+    if n > cap:
+        raise NTooLargeError(f"{what} capped at n={cap}, got {n}")
 
 
 def _graph_of_mask(n: int, mask: int) -> Graph:
@@ -95,6 +96,12 @@ def _pair_bits(n: int) -> list[list[int]]:
     return bits
 
 
+@cache
+def _spread_bytes(n: int) -> list[int]:
+    """spread[a]: the n bytes (a >> v & 1 for v in range(n)), read big-endian."""
+    return [int.from_bytes(bytes(a >> v & 1 for v in range(n)), "big") for a in range(1 << n)]
+
+
 def canonical_mask(n: int, adj_bits) -> tuple[int, int]:
     """Lowest mask over all n! relabellings of a graph, and how many reach it.
 
@@ -112,18 +119,18 @@ def canonical_mask(n: int, adj_bits) -> tuple[int, int]:
     # A state holds one byte per vertex: its row so far, or _PLACED.  Rows
     # have at most n - 1 <= 7 bits, so shifting one never reaches _PLACED,
     # and OR-ing states as big-endian integers ORs them byte by byte.
-    place = [
-        int.from_bytes(bytes(_PLACED if v == u else a >> v & 1 for v in range(n)), "big")
-        for u, a in enumerate(adj_bits)
-    ]
+    spread = _spread_bytes(n)
+    place = [spread[a] | _PLACED << 8 * (n - 1 - u) for u, a in enumerate(adj_bits)]
     states = {bytes(n): 1}  # -> number of partial labellings leaving it
     mask = 0
     for label in range(n - 1, -1, -1):
-        best = min(min(state) for state in states)
+        best = min(map(min, states))
         nxt: dict[bytes, int] = {}
         for state, count in states.items():
-            shifted = int.from_bytes(state.translate(_SHIFT_ROWS), "big")
             u = state.find(best)
+            if u < 0:
+                continue
+            shifted = int.from_bytes(state.translate(_SHIFT_ROWS), "big")
             while u >= 0:
                 child = (shifted | place[u]).to_bytes(n, "big")
                 nxt[child] = nxt.get(child, 0) + count
@@ -235,7 +242,9 @@ def _class_levels(n_max: int):
     the parent, by adding a new vertex with a non-empty neighbourhood, and
     `canonical_mask` names the child's class and counts its automorphisms.
     Two exact rules skip most children before that call.  Orbit rule: the
-    neighbourhood must be the least of its images under Aut(parent).
+    neighbourhood must be the least of its images under Aut(parent).  A
+    parent of weight (n-1)! has only the identity automorphism, so every
+    non-empty neighbourhood is least and Aut is not listed for it.
     Deletion rule, after McKay's canonical deletion ("Isomorph-free
     exhaustive generation", J. Algorithms 1998): no vertex whose removal
     leaves the child connected (a non-cut vertex) may outrank the new one
@@ -257,10 +266,11 @@ def _class_levels(n_max: int):
     for n in range(2, n_max + 1):
         auts: dict[int, int] = {}
         new = 1 << (n - 1)
-        for parent, _ in level:
+        rigid = factorial(n - 1)
+        for parent, weight in level:
             adj = _graph_of_mask(n - 1, parent).adj_bits
             pieces = [_pieces_without(adj, u) for u in range(n - 1)]
-            for nbrs in _orbit_minima(adj):
+            for nbrs in range(1, new) if weight == rigid else _orbit_minima(adj):
                 child = [a | new if nbrs >> v & 1 else a for v, a in enumerate(adj)]
                 child.append(nbrs)
                 if not _outranked(child, pieces):
@@ -314,9 +324,7 @@ def class_sweep(block_fn, n_lo: int, n_max: int, threads: int, *args):
     block_fn((n, block, *args)) runs on every block, in-process or on up
     to `threads` workers; the results come back in block order.
     """
-    _check_enum_n(n_max)
-    if n_max > CENSUS_MAX_N:
-        raise NTooLargeError(f"census capped at n={CENSUS_MAX_N}, got {n_max}")
+    _check_enum_n(n_max, CENSUS_MAX_N, "census")
     if n_lo > n_max:
         raise BadParamsError(f"nothing to sweep below n={n_lo}, got n_max={n_max}")
     for n, classes in _class_levels(n_max):

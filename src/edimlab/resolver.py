@@ -44,7 +44,10 @@ search above, picked by the same gate: a lexicographic scan for a cover of
 exactly s landmarks, or the branch-and-bound over the minimal separator
 sets with s + 1 as its bound.  It finds no greedy bound and no witness, so
 a check that needs only bounds on the optimum (the product statement's
-k <= edim) pays for one refutation instead of a full solve.
+k <= edim, or the threshold of another sweepable statement) pays for one
+refutation instead of a full solve.  `_problem` is the one way from a
+graph to its vertex or edge problem for the solves and the checks alike:
+it runs the guards, then reads the levels.
 
 Minimal separator sets: when the branch-and-bound runs, it and the scans at
 the optimum work over the distinct inclusion-minimal separator sets instead
@@ -444,20 +447,25 @@ def _fits(levels: list[list[int]], n_obj: int, bits: list[int], universe: int, s
     return _branch_and_bound_size(reduced, (1 << len(seps)) - 1, seps, size + 1) <= size
 
 
+def _problem(g: Graph, edges: bool) -> tuple[list[list[int]], int]:
+    """(levels, objects) of g's edge problem if `edges`, else of its vertex
+    problem, after the guards: connectivity, then the pair-bit cap."""
+    what = "edge metric dimension" if edges else "metric dimension"
+    if not is_connected(g):
+        raise DisconnectedError(f"{what} requires a connected graph")
+    n_obj = g.m if edges else g.n
+    _check_pair_bits(g.n, n_obj)
+    return (g.edge_levels if edges else all_pairs_distances(g).levels), n_obj
+
+
 def metric_dimension(g: Graph, want_all_bases: bool = False) -> DimensionResult:
     """Minimum vertex set with pairwise distinct vertex signatures."""
-    if not is_connected(g):
-        raise DisconnectedError("metric dimension requires a connected graph")
-    _check_pair_bits(g.n, g.n)
-    return _minimum_cover(all_pairs_distances(g).levels, g.n, want_all_bases)
+    return _minimum_cover(*_problem(g, False), want_all_bases)
 
 
 def edge_metric_dimension(g: Graph, want_all_bases: bool = False) -> DimensionResult:
     """Minimum vertex set with pairwise distinct edge signatures."""
-    if not is_connected(g):
-        raise DisconnectedError("edge metric dimension requires a connected graph")
-    _check_pair_bits(g.n, g.m)
-    return _minimum_cover(g.edge_levels, g.m, want_all_bases)
+    return _minimum_cover(*_problem(g, True), want_all_bases)
 
 
 def min_joint_cover(g: Graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -6,6 +6,14 @@ concrete numbers needed to re-check the violation independently;
 not_applicable records which precondition excluded the instance.  Passing
 instances keep the certificate empty.
 
+A sweepable statement needs dim or edim only against a threshold, so its
+check decides that threshold with the refutations of the cover search
+(`resolver._fits`, "do at most s landmarks resolve the objects?") on pair
+bitsets built once per graph: edim = n - 1 is "not n - 2 but n - 1", and
+a bound that grows with dim or edim holds exactly when no fewer landmarks
+than the least value meeting it suffice.  dim and edim are solved exactly
+only for a failure's certificate.
+
 CHECKS is the one registry of the statements that a sweep over all small
 connected graphs can check: it maps each id to its checker and to the
 smallest n the sweep feeds it.  The CLI takes its `verify` choices and its
@@ -35,6 +43,7 @@ from .resolver import (
     _generates,
     _minimum_cover,
     _pair_bitsets,
+    _problem,
     edge_metric_dimension,
     metric_dimension,
     min_joint_cover,
@@ -90,6 +99,23 @@ def full_edim_condition(g: Graph) -> tuple[bool, tuple[int, int] | None]:
     return True, None
 
 
+def _fits_of(g: Graph, edges: bool) -> Callable[[int], bool]:
+    """fits(s): whether at most s landmarks resolve g's edges, if `edges`,
+    else its vertices.  The solves' guards run here, and the pair bitsets
+    are built once for every question asked."""
+    levels, n_obj = _problem(g, edges)
+    bits, universe = _pair_bitsets(levels, n_obj)
+    return lambda s: s >= 0 and _fits(levels, n_obj, bits, universe, s)
+
+
+def _least(bound: Callable[[int], int], target: int) -> int:
+    """The least k >= 0 with target <= bound(k), for bound non-decreasing in k."""
+    k = 0
+    while bound(k) < target:
+        k += 1
+    return k
+
+
 def _na(theorem_id: str, gid: str, reason: str, **extra) -> TheoremReport:
     cert = {"reason": reason}
     cert.update(extra)
@@ -101,11 +127,12 @@ def check_ncondition_theorem(g: Graph) -> TheoremReport:
     gid = _graph_id(g)
     if g.n < 2 or g.m < 2:
         return _na("ncondition", gid, "needs n >= 2 and at least 2 edges", n=g.n, m=g.m)
-    edim = edge_metric_dimension(g).value
+    fits = _fits_of(g, True)
+    full = not fits(g.n - 2) and fits(g.n - 1)
     cond, pair = full_edim_condition(g)
-    if (edim == g.n - 1) == cond:
+    if full == cond:
         return TheoremReport("ncondition", gid, HOLDS)
-    cert = {"n": g.n, "edim": edim, "condition": cond}
+    cert = {"n": g.n, "edim": edge_metric_dimension(g).value, "condition": cond}
     if pair is not None:
         cert["pair_without_hub"] = list(pair)
     return TheoremReport("ncondition", gid, FAILS, cert)
@@ -116,9 +143,10 @@ def check_corollary_diam_triangle(g: Graph) -> TheoremReport:
     gid = _graph_id(g)
     if g.n < 2 or g.m < 2:
         return _na("corollary", gid, "needs n >= 2 and at least 2 edges", n=g.n, m=g.m)
-    edim = edge_metric_dimension(g).value
-    if edim != g.n - 1:
+    fits = _fits_of(g, True)
+    if fits(g.n - 2) or not fits(g.n - 1):
         return TheoremReport("corollary", gid, HOLDS)
+    edim = g.n - 1
     diam = diameter(g)
     if diam > 2:
         return TheoremReport(
@@ -134,31 +162,45 @@ def check_corollary_diam_triangle(g: Graph) -> TheoremReport:
 
 
 def check_vertex_count_bound(g: Graph) -> TheoremReport:
-    """n <= dim + diameter^dim."""
+    """n <= dim + diameter^dim.
+
+    The bound does not fall as dim grows, so it holds exactly when
+    dim >= k0, the least k with n <= k + diameter^k.
+    """
     gid = _graph_id(g)
     if g.n < 2:
         return _na("vertex_bound", gid, "needs n >= 2", n=g.n)
-    dim = metric_dimension(g).value
+    fits = _fits_of(g, False)
     diam = diameter(g)
-    bound = dim + diam**dim
-    if g.n <= bound:
+    if not fits(_least(lambda k: k + diam**k, g.n) - 1):
         return TheoremReport("vertex_bound", gid, HOLDS)
+    dim = metric_dimension(g).value
+    bound = dim + diam**dim
     return TheoremReport(
         "vertex_bound", gid, FAILS,
         {"n": g.n, "dim": dim, "diameter": diam, "bound": bound},
     )
 
 
+def _edge_count_bound(k: int, diam: int) -> int:
+    return comb(k, 2) + (k * diam ** (k - 1) if k >= 1 else 0) + diam**k
+
+
 def check_edge_count_bound(g: Graph) -> TheoremReport:
-    """m <= C(k, 2) + k * diameter^(k-1) + diameter^k with k = edim."""
+    """m <= C(k, 2) + k * diameter^(k-1) + diameter^k with k = edim.
+
+    Decided as the vertex bound is: it holds exactly when edim >= k0, the
+    least k whose bound reaches m.
+    """
     gid = _graph_id(g)
     if g.m < 1:
         return _na("edge_bound", gid, "needs at least one edge", m=g.m)
-    k = edge_metric_dimension(g).value
+    fits = _fits_of(g, True)
     diam = diameter(g)
-    bound = comb(k, 2) + (k * diam ** (k - 1) if k >= 1 else 0) + diam**k
-    if g.m <= bound:
+    if not fits(_least(lambda k: _edge_count_bound(k, diam), g.m) - 1):
         return TheoremReport("edge_bound", gid, HOLDS)
+    k = edge_metric_dimension(g).value
+    bound = _edge_count_bound(k, diam)
     return TheoremReport(
         "edge_bound", gid, FAILS,
         {"m": g.m, "edim": k, "diameter": diam, "bound": bound},
@@ -172,12 +214,13 @@ def check_max_degree_lemmas(g: Graph) -> TheoremReport:
         return _na("degree_lemmas", gid, "needs n >= 3", n=g.n)
     if max_degree(g) < g.n - 1:
         return TheoremReport("degree_lemmas", gid, HOLDS)
-    edim = edge_metric_dimension(g).value
+    fits = _fits_of(g, True)
     universal = sum(1 for a in g.adj_bits if a.bit_count() == g.n - 1)
-    if edim not in (g.n - 1, g.n - 2) or (universal >= 2 and edim != g.n - 1):
+    # edim is n - 2 or n - 1, and n - 1 when two vertices are universal
+    if fits(g.n - 3) or not fits(g.n - 1) or (universal >= 2 and fits(g.n - 2)):
         return TheoremReport(
             "degree_lemmas", gid, FAILS,
-            {"n": g.n, "edim": edim, "universal_vertices": universal},
+            {"n": g.n, "edim": edge_metric_dimension(g).value, "universal_vertices": universal},
         )
     return TheoremReport("degree_lemmas", gid, HOLDS)
 
@@ -237,10 +280,11 @@ def check_join_K1_theorem(g: Graph) -> TheoremReport:
         return _na("join", gid, "needs n >= 2", n=g.n)
     predicate = join_K1_predicate(g)
     joined = join(g, build_graph(1, []))
-    edim = edge_metric_dimension(joined).value
     expected = g.n if predicate else g.n - 1
-    if edim == expected:
+    fits = _fits_of(joined, True)
+    if fits(expected) and not fits(expected - 1):
         return TheoremReport("join", gid, HOLDS)
+    edim = edge_metric_dimension(joined).value
     return TheoremReport(
         "join", gid, FAILS,
         {"n": g.n, "predicate": predicate, "edim_of_join": edim, "expected": expected},

@@ -211,6 +211,21 @@ def test_exit_code_2_on_out_of_range_sweep_and_family(argv, capsys):
     assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("survey", "8"),
+    ("survey", "9"),
+    ("verify", "ncondition", "--sweep", "8"),
+    ("verify", "vertex_bound", "--sweep", "9"),
+])
+def test_census_sizes_past_the_census_cap_exit_2_naming_it(argv, capsys):
+    # n = 8 is within the enumeration cap but past the census cap, and so is
+    # n = 9: both are refused by the cap that applies, n = 7
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: census capped at n=7, got {argv[-1]}\n"
+
+
 @pytest.mark.extended
 def test_product_sweep_fails_at_n7(capsys):
     # one class of 7!/2 labeled graphs, F~qP_, fails; see test_theorems

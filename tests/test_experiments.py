@@ -21,7 +21,13 @@ from edimlab import (
     survey_triples,
     write_graph6,
 )
-from edimlab.experiments import _automorphisms, _class_levels, _graph_of_mask, _pieces_without
+from edimlab.experiments import (
+    _automorphisms,
+    _class_levels,
+    _graph_of_mask,
+    _orbit_minima,
+    _pieces_without,
+)
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
 
@@ -123,7 +129,16 @@ def _unpruned_class_levels(n_max):
 
 
 def test_pruned_class_levels_equal_the_unpruned_loop():
-    assert list(_class_levels(6)) == list(_unpruned_class_levels(6))
+    assert list(_class_levels(7)) == list(_unpruned_class_levels(7))
+
+
+def test_orbit_minima_are_every_vertex_set_exactly_for_rigid_classes():
+    # _class_levels skips _orbit_minima for a parent of weight n!: with only
+    # the identity automorphism, every non-empty vertex set is least in its orbit
+    for n, classes in _class_levels(6):
+        for mask, weight in classes:
+            every_set = _orbit_minima(_graph_of_mask(n, mask).adj_bits) == list(range(1, 1 << n))
+            assert every_set == (weight == factorial(n)), (n, mask)
 
 
 def test_automorphisms_are_the_permutations_fixing_the_graph():

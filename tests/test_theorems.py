@@ -1,3 +1,6 @@
+from collections import Counter
+from math import comb
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,7 +35,7 @@ from edimlab import (
     write_graph6,
 )
 from edimlab import resolver, theorems
-from edimlab.constructions import path_product_edim, witness_from_joint_cover
+from edimlab.constructions import join, path_product_edim, witness_from_joint_cover
 from edimlab.experiments import _graph_of_mask, connected_classes
 from edimlab.theorems import FAILS, HOLDS, NOT_APPLICABLE, TheoremReport
 
@@ -145,6 +148,28 @@ def test_product_counterexample_to_the_minimum_bases_reading():
     )
 
 
+def test_the_product_edim_is_at_least_the_factors_dim_and_edim():
+    # From landmark (u, i), two rungs between the same two copies of g are
+    # separated exactly when u separates their vertices in g, and two edges
+    # of one copy exactly when u separates those edges in g; so the
+    # landmarks of a product generator, read as vertices of g, resolve both
+    # the vertices and the edges of g.
+    for n in range(2, 7):
+        for mask, _ in connected_classes(n):
+            g = _graph_of_mask(n, mask)
+            floor = max(metric_dimension(g).value, edge_metric_dimension(g).value)
+            for m in (2, 3):
+                assert path_product_edim(g, m).value >= floor, (n, mask, m)
+
+
+def test_the_joint_cover_is_its_larger_basis_on_110_of_the_112_classes_at_n6():
+    tight = 0
+    for mask, _ in connected_classes(6):
+        k, (s, t) = min_joint_cover(_graph_of_mask(6, mask))
+        tight += k == max(len(s), len(t))
+    assert tight == 110
+
+
 def _exact_product_report(g, m):
     """The product check's report by its defining rule: edim of the built
     product solved exactly, and the witness tested on the built product."""
@@ -211,6 +236,172 @@ def test_a_check_tests_connectivity_once_and_runs_one_all_source_bfs(bfs_runs, c
     g = build_graph(g.n, g.edges)
     assert check(g).verdict == HOLDS
     assert bfs_runs == [0, *range(g.n)]
+
+
+# The threshold checks' reports by their defining rules: dim or edim solved
+# exactly and compared with the statement.  Each reads the helpers it shares
+# with its check (full_edim_condition, diameter, max_degree,
+# join_K1_predicate) through `theorems`, so a replaced helper applies to both.
+
+def _exact_ncondition_report(g):
+    gid = write_graph6(g)
+    if g.n < 2 or g.m < 2:
+        return check_ncondition_theorem(g)  # not applicable; no solve
+    edim = edge_metric_dimension(g).value
+    cond, pair = theorems.full_edim_condition(g)
+    if (edim == g.n - 1) == cond:
+        return TheoremReport("ncondition", gid, HOLDS)
+    cert = {"n": g.n, "edim": edim, "condition": cond}
+    if pair is not None:
+        cert["pair_without_hub"] = list(pair)
+    return TheoremReport("ncondition", gid, FAILS, cert)
+
+
+def _exact_corollary_report(g):
+    gid = write_graph6(g)
+    if g.n < 2 or g.m < 2:
+        return check_corollary_diam_triangle(g)
+    edim = edge_metric_dimension(g).value
+    if edim != g.n - 1:
+        return TheoremReport("corollary", gid, HOLDS)
+    diam = theorems.diameter(g)
+    if diam > 2:
+        return TheoremReport("corollary", gid, FAILS, {"n": g.n, "edim": edim, "diameter": diam})
+    for x, y in g.edges:
+        if g.adj_bits[x] & g.adj_bits[y] == 0:
+            return TheoremReport(
+                "corollary", gid, FAILS, {"n": g.n, "edim": edim, "edge_outside_triangle": [x, y]})
+    return TheoremReport("corollary", gid, HOLDS)
+
+
+def _exact_vertex_bound_report(g):
+    gid = write_graph6(g)
+    if g.n < 2:
+        return check_vertex_count_bound(g)
+    dim = metric_dimension(g).value
+    diam = theorems.diameter(g)
+    bound = dim + diam**dim
+    if g.n <= bound:
+        return TheoremReport("vertex_bound", gid, HOLDS)
+    return TheoremReport(
+        "vertex_bound", gid, FAILS, {"n": g.n, "dim": dim, "diameter": diam, "bound": bound})
+
+
+def _exact_edge_bound_report(g):
+    gid = write_graph6(g)
+    if g.m < 1:
+        return check_edge_count_bound(g)
+    k = edge_metric_dimension(g).value
+    diam = theorems.diameter(g)
+    bound = comb(k, 2) + (k * diam ** (k - 1) if k >= 1 else 0) + diam**k
+    if g.m <= bound:
+        return TheoremReport("edge_bound", gid, HOLDS)
+    return TheoremReport(
+        "edge_bound", gid, FAILS, {"m": g.m, "edim": k, "diameter": diam, "bound": bound})
+
+
+def _exact_degree_lemmas_report(g):
+    gid = write_graph6(g)
+    if g.n < 3:
+        return check_max_degree_lemmas(g)
+    if theorems.max_degree(g) < g.n - 1:
+        return TheoremReport("degree_lemmas", gid, HOLDS)
+    edim = edge_metric_dimension(g).value
+    universal = sum(1 for a in g.adj_bits if a.bit_count() == g.n - 1)
+    if edim not in (g.n - 1, g.n - 2) or (universal >= 2 and edim != g.n - 1):
+        return TheoremReport(
+            "degree_lemmas", gid, FAILS, {"n": g.n, "edim": edim, "universal_vertices": universal})
+    return TheoremReport("degree_lemmas", gid, HOLDS)
+
+
+def _exact_join_report(g):
+    gid = write_graph6(g)
+    if g.n < 2:
+        return check_join_K1_theorem(g)
+    predicate = theorems.join_K1_predicate(g)
+    edim = edge_metric_dimension(join(g, build_graph(1, []))).value
+    expected = g.n if predicate else g.n - 1
+    if edim == expected:
+        return TheoremReport("join", gid, HOLDS)
+    return TheoremReport(
+        "join", gid, FAILS,
+        {"n": g.n, "predicate": predicate, "edim_of_join": edim, "expected": expected})
+
+
+EXACT_REPORTS = {
+    "ncondition": _exact_ncondition_report,
+    "corollary": _exact_corollary_report,
+    "vertex_bound": _exact_vertex_bound_report,
+    "edge_bound": _exact_edge_bound_report,
+    "degree_lemmas": _exact_degree_lemmas_report,
+    "join": _exact_join_report,
+}
+
+# per check, the helper it reads and a stand-in that makes the statement fail
+# on some graphs, so the failure path and its certificate are compared too
+FORCED_FAILURES = {
+    "ncondition": ("full_edim_condition", lambda real: lambda g: (not real(g)[0], real(g)[1])),
+    "corollary": ("diameter", lambda real: lambda g: 3),
+    "vertex_bound": ("diameter", lambda real: lambda g: max(1, real(g) - 1)),
+    "edge_bound": ("diameter", lambda real: lambda g: 1),
+    "degree_lemmas": ("max_degree", lambda real: lambda g: g.n - 1),
+    "join": ("join_K1_predicate", lambda real: lambda g: not real(g)),
+}
+
+
+def _forced(monkeypatch, theorem_id):
+    attr, stand_in = FORCED_FAILURES[theorem_id]
+    monkeypatch.setattr(theorems, attr, stand_in(getattr(theorems, attr)))
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["as_is", "forced"])
+@pytest.mark.parametrize("theorem_id", sorted(EXACT_REPORTS))
+def test_threshold_checks_match_their_exact_rules_on_every_class(monkeypatch, theorem_id, forced):
+    if forced:
+        _forced(monkeypatch, theorem_id)
+    run, exact = theorems.CHECKS[theorem_id].run, EXACT_REPORTS[theorem_id]
+    verdicts = Counter()
+    for n in range(1, 7):
+        for mask, _ in connected_classes(n):
+            g = _graph_of_mask(n, mask)
+            report = run(g, None)
+            assert report == exact(_graph_of_mask(n, mask)), (n, mask)
+            verdicts[report.verdict] += 1
+    # the statements hold, and every stand-in makes some classes fail
+    assert bool(verdicts[FAILS]) == forced, verdicts
+
+
+@given(connected_graphs(max_n=8), st.sampled_from(sorted(EXACT_REPORTS)), st.booleans())
+@settings(max_examples=60, deadline=None)
+@example(g=complete(5), theorem_id="corollary", forced=True)
+@example(g=star(5), theorem_id="degree_lemmas", forced=False)
+def test_threshold_checks_match_their_exact_rules(g, theorem_id, forced):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if forced:
+            _forced(monkeypatch, theorem_id)
+        report = theorems.CHECKS[theorem_id].run(g, None)
+        assert report == EXACT_REPORTS[theorem_id](build_graph(g.n, g.edges))
+
+
+@pytest.mark.parametrize("check", [check_ncondition_theorem, check_vertex_count_bound])
+def test_a_holding_threshold_check_solves_nothing(monkeypatch, check):
+    solved = []
+    real_cover = resolver._minimum_cover
+
+    def cover_spy(levels, n_obj, want_all):
+        solved.append(n_obj)
+        return real_cover(levels, n_obj, want_all)
+
+    monkeypatch.setattr(resolver, "_minimum_cover", cover_spy)
+    monkeypatch.setattr(theorems, "_minimum_cover", cover_spy)
+    for n in range(3, 7):
+        for mask, _ in connected_classes(n):
+            assert check(_graph_of_mask(n, mask)).verdict == HOLDS
+    assert solved == []
+    # a failure still solves once, for its certificate
+    _forced(monkeypatch, check(cycle(5)).theorem_id)
+    assert check(cycle(5)).verdict == FAILS
+    assert solved == [5]
 
 
 def test_a_product_check_runs_only_the_factors_connectivity_test_and_all_source_bfs(bfs_runs):
