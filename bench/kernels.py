@@ -14,9 +14,10 @@ witness test both ways: resolver._generates, the union of the witness
 landmarks' pair-bitset rows over the composed levels, and cartesian_path +
 is_edge_generator, a built product and a BFS from the witness.  It then
 times the product check's verdict both ways: the decision (pair bitsets,
-the witness test and resolver._fits refuting k - 1 landmarks) and
-resolver._minimum_cover, the exact edim.  It exits 1 if either pair of
-answers disagrees.  On hard_gnp graph 0 it also times the gated search over the minimal separator sets:
+the witness test, and edim >= k from the projection bound
+edim >= max(dim, edim) of the factor, or, when k exceeds both,
+resolver._fits refuting k - 1 landmarks) and resolver._minimum_cover, the
+exact edim.  It exits 1 if either pair of answers disagrees.  On hard_gnp graph 0 it also times the gated search over the minimal separator sets:
 resolver._greedy_cover_size on those sets, resolver._branch_and_bound_size
 from the greedy bound _minimum_cover starts it from and from the optimum
 (the refutation alone), and the witness scan, the first cover
@@ -100,8 +101,8 @@ def product_check(repeat: int, name: str, factor, composed, n_obj: int) -> None:
 
     def decision():
         bits, universe = resolver._pair_bitsets(composed, n_obj)
-        return resolver._generates(bits, universe, witness) and not resolver._fits(
-            composed, n_obj, bits, universe, k - 1)
+        return resolver._generates(bits, universe, witness) and (
+            k == max(map(len, cover)) or not resolver._fits(composed, n_obj, bits, universe, k - 1))
 
     def exact():
         edim = resolver._minimum_cover(composed, n_obj, False).value

@@ -439,7 +439,7 @@ def _fits(levels: list[list[int]], n_obj: int, bits: list[int], universe: int, s
     separator sets, bounded by `size + 1`.
     """
     if size < 1 or universe == 0:
-        return universe == 0
+        return size >= 0 and universe == 0
     size = min(size, len(bits))
     if comb(len(bits), size) < BRANCH_AND_BOUND_MIN_SUBSETS:
         return next(_covers(bits, _suffix_unions(bits), universe, size), None) is not None

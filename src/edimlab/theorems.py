@@ -105,7 +105,7 @@ def _fits_of(g: Graph, edges: bool) -> Callable[[int], bool]:
     are built once for every question asked."""
     levels, n_obj = _problem(g, edges)
     bits, universe = _pair_bitsets(levels, n_obj)
-    return lambda s: s >= 0 and _fits(levels, n_obj, bits, universe, s)
+    return lambda s: _fits(levels, n_obj, bits, universe, s)
 
 
 def _least(bound: Callable[[int], int], target: int) -> int:
@@ -297,9 +297,15 @@ def check_product_theorem(g: Graph, m: int) -> TheoremReport:
 
     Decided on the product's pair bitsets, over its edge levels composed
     from g's distances, so no product is built: the witness has k + 1
-    landmarks, so when it generates edim <= k + 1, and edim >= k when no
-    k - 1 landmarks cover every pair.  edim itself is solved only for the
-    certificate of a failure.
+    landmarks, so when it generates edim <= k + 1.  For edim >= k, read
+    the landmarks of any edge generator of g x P_m as vertices of g: from
+    (u, i), two rungs between copies 1 and 2 are separated exactly when u
+    separates their vertices in g, and two edges of copy 1 exactly when u
+    separates those edges in g, so the landmarks resolve both V(g) and
+    E(g), and edim >= max(dim, edim(g)).  The joint cover's bases have
+    those sizes, so when k is the larger, edim >= k is settled; otherwise
+    it takes a refutation of k - 1 landmarks on the product.  edim itself
+    is solved only for the certificate of a failure.
     """
     _check_path_copies(m)
     gid = f"{_graph_id(g)} m={m}"
@@ -308,7 +314,9 @@ def check_product_theorem(g: Graph, m: int) -> TheoremReport:
     bits, universe = _pair_bitsets(levels, n_obj)
     witness = witness_from_joint_cover(g, m, cover)
     witness_ok = _generates(bits, universe, witness)
-    if witness_ok and not _fits(levels, n_obj, bits, universe, k - 1):
+    if witness_ok and (
+        k == max(map(len, cover)) or not _fits(levels, n_obj, bits, universe, k - 1)
+    ):
         return TheoremReport("product", gid, HOLDS)
     edim = _minimum_cover(levels, n_obj, False).value
     return TheoremReport(

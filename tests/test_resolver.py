@@ -311,7 +311,7 @@ def test_fits_answers_whether_the_minimum_cover_has_at_most_size_landmarks(g):
             for levels, n_obj in _object_levels(g).values():
                 bits, universe = resolver._pair_bitsets(levels, n_obj)
                 value = resolver._minimum_cover(levels, n_obj, False).value
-                for size in range(len(bits) + 1):
+                for size in range(-2, len(bits) + 1):
                     assert resolver._fits(levels, n_obj, bits, universe, size) == (value <= size), (
                         g.edges, n_obj, gate, size)
 

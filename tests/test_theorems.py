@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from math import comb
 
@@ -131,6 +132,12 @@ def test_product_checker():
         check_product_theorem(build_graph(1, []), 2)
 
 
+F_QP_M2_RECORD = (
+    'product\tF~qP_ m=2\tfails\t{"edim_of_product": 4, "joint_k": 5, "m": 2, '
+    '"witness": [1, 2, 4, 5, 6, 8], "witness_generates": true}'
+)
+
+
 def test_product_counterexample_to_the_minimum_bases_reading():
     # The class whose 2520 relabellings fail the n = 7 product sweep: the
     # joint cover over minimum bases has k = 5, yet edim(G x P_m) = 4.
@@ -142,10 +149,7 @@ def test_product_counterexample_to_the_minimum_bases_reading():
     witness = product_upper_witness(g, 2)
     assert sorted(witness) == [1, 2, 4, 5, 6, 8]
     assert is_edge_generator(cartesian_path(g, 2).graph, witness)
-    assert check_product_theorem(g, 2).to_record() == (
-        'product\tF~qP_ m=2\tfails\t{"edim_of_product": 4, "joint_k": 5, "m": 2, '
-        '"witness": [1, 2, 4, 5, 6, 8], "witness_generates": true}'
-    )
+    assert check_product_theorem(g, 2).to_record() == F_QP_M2_RECORD
 
 
 def test_the_product_edim_is_at_least_the_factors_dim_and_edim():
@@ -204,7 +208,8 @@ def test_product_check_matches_its_exact_rule(g, m):
 
 
 def test_a_holding_product_check_solves_no_product(monkeypatch):
-    # the verdict needs the witness test and a refutation of k - 1 only:
+    # the verdict needs the witness test, and a refutation of k - 1 only
+    # when k exceeds dim and edim of the factor:
     # C_5 x P_2 has 10 vertices and 15 edges, C_5 itself 5 and 5
     solved, greedy = [], []
     real_cover, real_greedy = resolver._minimum_cover, resolver._greedy_cover_size
@@ -222,6 +227,41 @@ def test_a_holding_product_check_solves_no_product(monkeypatch):
     monkeypatch.setattr(resolver, "_greedy_cover_size", greedy_spy)
     assert check_product_theorem(cycle(5), 2).verdict == HOLDS
     assert solved == [5, 5] and greedy == [5, 5]  # the joint cover's two solves on C_5
+
+
+@pytest.mark.parametrize("g, m, sizes, verdict", [
+    (cycle(5), 2, [], HOLDS),  # k = 2 = max(dim, edim): the projection bound settles edim >= k
+    (parse_graph6("F~qP_"), 2, [4], FAILS),  # k = 5 > max(2, 4)
+    (parse_graph6("EVz?"), 3, [3], HOLDS),  # k = 4 > max(2, 3), one of two such classes at n = 6
+])
+def test_the_product_check_refutes_k_minus_1_only_when_k_exceeds_dim_and_edim(monkeypatch, g, m, sizes, verdict):
+    asked = []
+    real_fits = theorems._fits
+
+    def fits_spy(levels, n_obj, bits, universe, size):
+        asked.append(size)
+        return real_fits(levels, n_obj, bits, universe, size)
+
+    monkeypatch.setattr(theorems, "_fits", fits_spy)
+    report = check_product_theorem(g, m)
+    assert report.verdict == verdict and asked == sizes
+    if verdict == FAILS:
+        assert report.to_record() == F_QP_M2_RECORD
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("m, digest", [
+    (2, "406f12d2e8dce0deb0a4422d94502144c03c6a707deccb5133a93809b6ab8f66"),
+    (3, "6c762e38e9855a5facf75ffe26a5855e2b4ec161b0e0232ec821e364de55ecfa"),
+])
+def test_product_checks_on_every_10th_class_at_n8_keep_their_records(m, digest):
+    # the digests were taken with k - 1 refuted on every product, so the
+    # projection bound's shortcut must leave all 1112 records as they were
+    reports = [check_product_theorem(_graph_of_mask(8, mask), m) for mask, _ in connected_classes(8)[::10]]
+    assert len(reports) == 1112
+    assert sum(r.verdict == FAILS for r in reports) == 13
+    records = "\n".join(r.to_record() for r in reports)
+    assert hashlib.sha256(records.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("check", [
