@@ -2,29 +2,32 @@
 
     python3 bench/kernels.py [--repeat R] [--fk K [K ...]] [--census N [N ...]]
 
-Times graph._edge_levels, resolver._pair_bitsets and
-resolver._minimal_separators on fixed inputs: the Cartesian product with
-P_2 of the first product6 graph of seed 0, hard_gnp graph 0 of seed 0
-(both from perfbench/gen.py), and F_k for each K of --fk (default 4 and 5).
-Each kernel runs on the levels of the dim problem and of the edim problem
-(_edge_levels on edim only).  On the product, the edim problem also times
+Times graph._edge_levels, the pair bitsets a resolver._Cover instance
+builds (resolver._pair_bitsets) and its minimal separator sets
+(resolver._minimal_separators, found anew on every call) on fixed inputs:
+the Cartesian product with P_2 of the first product6 graph of seed 0,
+hard_gnp graph 0 of seed 0 (both from perfbench/gen.py), and F_k for each
+K of --fk (default 4 and 5).  Each kernel runs on the levels of the dim
+problem and of the edim problem (_edge_levels on edim only).  On the
+product, the edim problem also times
 constructions._path_product_edge_levels, the same edge levels composed
 from the factor's distances and edge levels, and the product check's
-witness test both ways: resolver._generates, the union of the witness
+witness test both ways: _Cover.generates, the union of the witness
 landmarks' pair-bitset rows over the composed levels, and cartesian_path +
 is_edge_generator, a built product and a BFS from the witness.  It then
-times the product check's verdict both ways: the decision (pair bitsets,
-the witness test, and edim >= k from the projection bound
-edim >= max(dim, edim) of the factor, or, when k exceeds both,
-resolver._fits refuting k - 1 landmarks) and resolver._minimum_cover, the
-exact edim.  It exits 1 if either pair of answers disagrees.  On hard_gnp graph 0 it also times the gated search over the minimal separator sets:
+times the product check's verdict both ways: the decision (an instance
+over the composed levels, the witness test, and edim >= k from the
+projection bound edim >= max(dim, edim) of the factor, or, when k exceeds
+both, _Cover.fits refuting k - 1 landmarks) and _Cover.value, the exact
+edim.  It exits 1 if either pair of answers disagrees.  On hard_gnp graph
+0 it also times the gated search over the minimal separator sets:
 resolver._greedy_cover_size on those sets, resolver._branch_and_bound_size
-from the greedy bound _minimum_cover starts it from and from the optimum
+from the greedy bound _Cover.value starts it from and from the optimum
 (the refutation alone), and the witness scan, the first cover
 resolver._covers yields at the optimum.  It exits 1 if a branch-and-bound
-value is not resolver._minimum_cover's.  The graphs' distances, and the
-factor's edge levels, are computed before any timing.  For each N of
---census (default 6) it times class generation: experiments._class_levels(N),
+value is not _Cover.value's.  The graphs' distances, and the factor's
+edge levels, are computed before any timing.  For each N of --census
+(default 6) it times class generation: experiments._class_levels(N),
 experiments.canonical_mask over every child that run names, and
 experiments._orbit_minima over every parent it lists the automorphisms
 of; their objects are the classes on N vertices, the children and the
@@ -54,7 +57,7 @@ from edimlab.constructions import (  # noqa: E402
     witness_from_joint_cover,
 )
 from edimlab.errors import NTooLargeError  # noqa: E402
-from edimlab.graph import _edge_levels, all_pairs_distances, build_graph, level_rows  # noqa: E402
+from edimlab.graph import _edge_levels, all_pairs_distances, build_graph  # noqa: E402
 
 
 def best_of(repeat: int, fn, *args):
@@ -97,24 +100,23 @@ def product_check(repeat: int, name: str, factor, composed, n_obj: int) -> None:
     each both ways; exit 1 if either pair disagrees."""
     k, cover = resolver.min_joint_cover(factor)
     witness = witness_from_joint_cover(factor, 2, cover)
-    bits, universe = resolver._pair_bitsets(composed, n_obj)
+    product = resolver._Cover(composed, n_obj)
 
     def decision():
-        bits, universe = resolver._pair_bitsets(composed, n_obj)
-        return resolver._generates(bits, universe, witness) and (
-            k == max(map(len, cover)) or not resolver._fits(composed, n_obj, bits, universe, k - 1))
+        product = resolver._Cover(composed, n_obj)
+        return product.generates(witness) and (k == max(map(len, cover)) or not product.fits(k - 1))
 
     def exact():
-        edim = resolver._minimum_cover(composed, n_obj, False).value
-        return k <= edim <= k + 1 and resolver._generates(bits, universe, witness)
+        edim = resolver._Cover(composed, n_obj).value()
+        return k <= edim <= k + 1 and product.generates(witness)
 
     checks = {
         "witness tests": [
-            ("_generates", resolver._generates, bits, universe, witness),
+            ("_Cover.generates", product.generates, witness),
             ("cartesian_path+is_edge_generator",
              lambda: resolver.is_edge_generator(cartesian_path(factor, 2).graph, witness)),
         ],
-        "verdicts": [("decision", decision), ("_minimum_cover", exact)],
+        "verdicts": [("decision", decision), ("_Cover.value", exact)],
     }
     for what, ways in checks.items():
         answers = set()
@@ -126,24 +128,28 @@ def product_check(repeat: int, name: str, factor, composed, n_obj: int) -> None:
             sys.exit(f"{name}: the {what} disagree")
 
 
-def gated_search(repeat: int, name: str, problem: str, levels, n_obj: int, bits, universe, minimal) -> None:
-    """Time the kernels of _minimum_cover's gated search on the minimal
-    separator sets `minimal`; exit 1 if a branch-and-bound value is not
-    _minimum_cover's."""
-    kept, reduced = minimal
-    sets = (1 << len(kept)) - 1
-    opt = resolver._minimum_cover(levels, n_obj, False).value
+def minimal_sets(cover):
+    """cover's minimal separator sets, found anew rather than read from its cache."""
+    cover.minimal = None
+    return cover._reduced()
+
+
+def gated_search(repeat: int, name: str, problem: str, cover) -> None:
+    """Time the kernels of the gated search over cover's minimal separator
+    sets; exit 1 if a branch-and-bound value is not cover.value()'s."""
+    kept, reduced, sets = cover._reduced()
+    opt = cover.value()
     secs, greedy = best_of(repeat, resolver._greedy_cover_size, reduced, sets)
-    print(f"{name}\t{problem}\t{n_obj}\t_greedy_cover_size(minimal sets)\t{secs:.6g}", flush=True)
-    starts = {"greedy": min(resolver._greedy_cover_size(bits, universe), greedy), "optimum": opt}
+    print(f"{name}\t{problem}\t{cover.n_obj}\t_greedy_cover_size(minimal sets)\t{secs:.6g}", flush=True)
+    starts = {"greedy": min(resolver._greedy_cover_size(cover.bits, cover.universe), greedy), "optimum": opt}
     for start, upper in starts.items():
         secs, value = best_of(repeat, resolver._branch_and_bound_size, reduced, sets, kept, upper)
-        print(f"{name}\t{problem}\t{n_obj}\t_branch_and_bound_size(from {start})\t{secs:.6g}", flush=True)
+        print(f"{name}\t{problem}\t{cover.n_obj}\t_branch_and_bound_size(from {start})\t{secs:.6g}", flush=True)
         if value != opt:
-            sys.exit(f"{name} {problem}: branch-and-bound from {upper} gave {value}, _minimum_cover {opt}")
+            sys.exit(f"{name} {problem}: branch-and-bound from {upper} gave {value}, _Cover.value {opt}")
     suffix = resolver._suffix_unions(reduced)
     secs, _ = best_of(repeat, lambda: next(resolver._covers(reduced, suffix, sets, opt)))
-    print(f"{name}\t{problem}\t{n_obj}\twitness scan\t{secs:.6g}", flush=True)
+    print(f"{name}\t{problem}\t{cover.n_obj}\twitness scan\t{secs:.6g}", flush=True)
 
 
 def census_calls(n: int) -> dict[str, list[tuple]]:
@@ -211,13 +217,12 @@ def main() -> None:
                     secs, composed = best_of(args.repeat, _path_product_edge_levels, factor, 2)
                     print(f"{name}\t{problem}\t{n_obj}\t_path_product_edge_levels\t{secs:.6g}", flush=True)
                     product_check(args.repeat, name, factor, composed, n_obj)
-            secs, (bits, universe) = best_of(args.repeat, resolver._pair_bitsets, obj_levels, n_obj)
+            secs, cover = best_of(args.repeat, resolver._Cover, obj_levels, n_obj)
             print(f"{name}\t{problem}\t{n_obj}\t_pair_bitsets\t{secs:.6g}", flush=True)
-            rows = level_rows(obj_levels, n_obj)
-            secs, minimal = best_of(args.repeat, resolver._minimal_separators, bits, universe, rows, n_obj)
+            secs, _ = best_of(args.repeat, minimal_sets, cover)
             print(f"{name}\t{problem}\t{n_obj}\t_minimal_separators\t{secs:.6g}", flush=True)
             if name == "hard_gnp0":
-                gated_search(args.repeat, name, problem, obj_levels, n_obj, bits, universe, minimal)
+                gated_search(args.repeat, name, problem, cover)
     for n in args.census:
         census(args.repeat, n)
 

@@ -12,9 +12,10 @@ construct_H(k): F_k joined with a single extra vertex t at index k + 2^k.
 cartesian_path(g, m): the Cartesian product of g with a path on m copies;
 copy i (1-based) of vertex v sits at index (i-1)*n + v, labeled "v(i)".
 
-path_product_edim(g, m): edim(g x P_m), value and witness equal to those of
-`edge_metric_dimension(cartesian_path(g, m).graph)`, solved without a BFS
-on the product.  Distances add across the factors, d((u, i), (v, j)) =
+_path_product_problem(g, m): the cover-search instance of the edge problem
+of g x P_m, whose `solve` gives the value and witness of
+`edge_metric_dimension(cartesian_path(g, m).graph)` without a BFS on the
+product.  Distances add across the factors, d((u, i), (v, j)) =
 d_g(u, v) + |i - j|, so from landmark (u, i) an edge of copy j lies at
 its distance from u in g plus |i - j|, and the rung (v, j)-(v, j+1) at
 d_g(u, v) plus the distance from i to {j, j+1}.  The product's edge
@@ -27,16 +28,16 @@ m*|E| + j*n + v.  The value and the witness do not depend on how the
 objects are numbered.  It refuses what the generic solve refuses, before
 reading any distance: a bad m, a product over the vertex cap, a
 disconnected g, and a product over the solvers' pair-bit cap.  The
-product check reads g alone: it decides its bounds on the same edge
-levels, composed from the levels g keeps after its joint cover, so it
-builds no product and runs no BFS on one.
+product check reads g alone: it asks this instance for its bounds, on
+edge levels composed from the levels g keeps after its joint cover, so
+it builds no product and runs no BFS on one.
 """
 
 from dataclasses import dataclass
 
 from .errors import BadParamsError, DisconnectedError, KOutOfRangeError, MTooSmallError, NoEdgesError
 from .graph import MAX_VERTICES, Graph, _graph_from_edges, build_graph, is_connected
-from .resolver import DimensionResult, _check_pair_bits, _minimum_cover, min_joint_cover
+from .resolver import _check_pair_bits, _Cover, min_joint_cover
 
 MAX_FK_K = 11  # 2^k + k (+1 for H_k) must stay within MAX_VERTICES
 
@@ -121,20 +122,15 @@ def cartesian_path(g: Graph, m: int) -> LabeledConstruction:
     return LabeledConstruction(_graph_from_edges(total, tuple(edges)), labels)
 
 
-def path_product_edim(g: Graph, m: int) -> DimensionResult:
-    """Minimum edge generator of g x P_m, from g's distances (module docstring)."""
-    return _minimum_cover(*_path_product_levels(g, m), False)
-
-
-def _path_product_levels(g: Graph, m: int) -> tuple[list[list[int]], int]:
-    """The edge levels of g x P_m and its object count, behind the guards
-    of the generic solve (module docstring)."""
+def _path_product_problem(g: Graph, m: int) -> _Cover:
+    """The edge problem of g x P_m over its composed edge levels, behind
+    the guards of the generic solve (module docstring)."""
     total = _product_order(g.n, m)
     if not is_connected(g):
         raise DisconnectedError("edge metric dimension requires a connected graph")
     n_obj = m * g.m + (m - 1) * g.n
     _check_pair_bits(total, n_obj)
-    return _path_product_edge_levels(g, m), n_obj
+    return _Cover(_path_product_edge_levels(g, m), n_obj)
 
 
 def _path_product_edge_levels(g: Graph, m: int) -> list[list[int]]:

@@ -33,7 +33,7 @@ from ._par import item_blocks, run_blocks
 from .errors import BadParamsError, NTooLargeError
 from .formats import write_graph6
 from .graph import Graph, _graph_from_edges, _levels_from, is_connected
-from .resolver import edge_metric_dimension, metric_dimension
+from .resolver import _problem
 
 MAX_ENUM_N = 8
 CENSUS_MAX_N = 7  # largest n that a census or theorem sweep solves
@@ -312,8 +312,7 @@ def _survey_block(job) -> list[tuple[int, int, int, int]]:
     out = []
     for mask, weight in classes:
         g = _connected_graph_from_mask(n, mask)
-        dim, edim = metric_dimension(g), edge_metric_dimension(g)
-        out.append((mask, weight, dim.value, edim.value))
+        out.append((mask, weight, _problem(g, False).value(), _problem(g, True).value()))
     return out
 
 

@@ -20,9 +20,7 @@ connectivity test.  Each solve runs its guards before it reads any
 levels.  `is_vertex_generator` and `is_edge_generator` keep their own
 definition, pairwise distinct signature tuples, and run the BFS from the
 landmarks only (`graph.bfs_levels`), with the edge levels read off those
-landmark levels.  `_generates` tests a landmark set on pair
-bitsets already built, with the criterion of the cover search: the union
-of its bitsets covers every pair.
+landmark levels.
 
 Search order contract: the reported witness is the lexicographically least
 basis of minimum size, i.e. the first generator met when scanning subset
@@ -38,16 +36,17 @@ witness and all its items are the bases, so the answers do not depend on
 which search found the value.  Suffix unions of the bitsets prune scan
 subtrees that cannot cover the remaining pairs.
 
-Decision entry: `_fits` answers "do at most s landmarks cover every
-pair?" without solving for the optimum.  It runs one refutation of the
-search above, picked by the same gate: a lexicographic scan for a cover of
+One instance per problem: `_Cover(levels, objects)` holds the pair
+bitsets of one vertex or edge problem.  `solve` gives the value, the
+witness and, on request, the bases; `value` scans for no witness.
+`fits(s)` answers "do at most s landmarks cover every pair?" with one
+refutation, picked by the same gate: a lexicographic scan for a cover of
 exactly s landmarks, or the branch-and-bound over the minimal separator
-sets with s + 1 as its bound.  It finds no greedy bound and no witness, so
-a check that needs only bounds on the optimum (the product statement's
-k <= edim, or the threshold of another sweepable statement) pays for one
-refutation instead of a full solve.  `_problem` is the one way from a
-graph to its vertex or edge problem for the solves and the checks alike:
-it runs the guards, then reads the levels.
+sets bounded by s + 1.  So a check that needs only bounds on the optimum
+pays for refutations, not a full solve.  The gate is one method, and the
+minimal separator sets are found at most once per instance.  `_problem`
+is the one way from a graph to its instance: it runs the guards, then
+reads the levels.
 
 Minimal separator sets: when the branch-and-bound runs, it and the scans at
 the optimum work over the distinct inclusion-minimal separator sets instead
@@ -146,15 +145,6 @@ def is_vertex_generator(g: Graph, s) -> bool:
 def is_edge_generator(g: Graph, s) -> bool:
     """True when the edges of g have pairwise distinct signatures over s."""
     return _is_generator(g, s, g.m, lambda levels: _edge_levels(g, levels))
-
-
-def _generates(bits: list[int], universe: int, s) -> bool:
-    """True when the landmarks s, indices into `bits`, give the objects
-    pairwise distinct signatures: their pair bitsets cover the universe."""
-    cover = 0
-    for v in s:
-        cover |= bits[v]
-    return cover == universe
 
 
 def _spaced(count: int, gap: int) -> int:
@@ -300,8 +290,8 @@ def _minimal_separators(bits: list[int], universe: int, rows, n_obj: int) -> tup
 
 def _branch_and_bound_size(bits: list[int], universe: int, seps: list[int], upper: int) -> int:
     """min(upper, fewest landmarks whose bitsets cover `universe`), for any
-    upper >= 1: `upper` need not be the size of a cover (`_fits` passes
-    size + 1), and only covers smaller than it are searched for.
+    upper >= 1: `upper` need not be the size of a cover (`_Cover.fits`
+    passes size + 1), and only covers smaller than it are searched for.
 
     seps[p] is the mask of the landmarks whose bitsets hold pair p.
     Depth-first over uncovered pairs: each node branches on a pair with the
@@ -400,72 +390,107 @@ def _check_pair_bits(landmarks: int, objects: int) -> None:
         )
 
 
-def _minimum_cover(levels: list[list[int]], n_obj: int, want_all: bool) -> DimensionResult:
-    bits, universe = _pair_bitsets(levels, n_obj)
-    if universe == 0:
-        # no pair to separate (one vertex, or at most one edge): the empty set
-        return DimensionResult(0, (), ((),) if want_all else None)
-    suffix = _suffix_unions(bits)
-    if suffix[0] != universe:
-        raise AssertionError("landmark bitsets cannot cover the pair universe")
-    opt = _greedy_cover_size(bits, universe)
-    witness = None
-    if comb(len(bits), opt - 1) >= BRANCH_AND_BOUND_MIN_SUBSETS:
-        # the same covers, over the minimal separator sets instead of all pairs
-        seps, bits = _minimal_separators(bits, universe, level_rows(levels, n_obj), n_obj)
-        universe = (1 << len(seps)) - 1
+class _Cover:
+    """The cover search of one problem: the fewest landmarks whose pair
+    bitsets, built once from `levels`, cover every pair of the objects."""
+
+    __slots__ = ("levels", "n_obj", "bits", "universe", "minimal")
+
+    def __init__(self, levels: list[list[int]], n_obj: int):
+        self.levels, self.n_obj = levels, n_obj
+        self.bits, self.universe = _pair_bitsets(levels, n_obj)
+        self.minimal = None
+
+    def generates(self, s) -> bool:
+        """True when the pair bitsets of the landmarks s cover the universe."""
+        bits = self.bits
+        cover = 0
+        for v in s:
+            cover |= bits[v]
+        return cover == self.universe
+
+    def _gated(self, size: int) -> bool:
+        """Whether refuting `size` landmarks takes the branch-and-bound."""
+        return comb(len(self.bits), size) >= BRANCH_AND_BOUND_MIN_SUBSETS
+
+    def _reduced(self) -> tuple[list[int], list[int], int]:
+        """(kept, bitsets, universe) over the minimal separator sets, found once."""
+        if self.minimal is None:
+            kept, reduced = _minimal_separators(
+                self.bits, self.universe, level_rows(self.levels, self.n_obj), self.n_obj)
+            self.minimal = kept, reduced, (1 << len(kept)) - 1
+        return self.minimal
+
+    def fits(self, size: int) -> bool:
+        """True when at most `size` landmarks cover every pair, that is when
+        value() <= size: a lexicographic scan for a cover of exactly `size`
+        landmarks, or the branch-and-bound bounded by size + 1."""
+        bits, universe = self.bits, self.universe
+        if size < 1 or universe == 0:
+            return size >= 0 and universe == 0
+        size = min(size, len(bits))
+        if not self._gated(size):
+            return next(_covers(bits, _suffix_unions(bits), universe, size), None) is not None
+        kept, reduced, sets = self._reduced()
+        return _branch_and_bound_size(reduced, sets, kept, size + 1) <= size
+
+    def _optimum(self):
+        """(optimum, a witness met on the way or None, and the bitsets,
+        suffix unions and universe whose covers of each size are the bases)."""
+        bits, universe = self.bits, self.universe
         suffix = _suffix_unions(bits)
-        # a greedy cover of the minimal sets covers every pair; it is the
-        # smaller one in 43 of the 191 gated hard_gnp seed-0 solves
-        opt = _branch_and_bound_size(bits, universe, seps, min(opt, _greedy_cover_size(bits, universe)))
-    else:
+        if suffix[0] != universe:
+            raise AssertionError("landmark bitsets cannot cover the pair universe")
+        opt = _greedy_cover_size(bits, universe)
+        if self._gated(opt - 1):
+            # the same covers, over the minimal separator sets instead of all pairs
+            kept, bits, universe = self._reduced()
+            # a greedy cover of the minimal sets covers every pair; it is the
+            # smaller one in 43 of the 191 gated hard_gnp seed-0 solves
+            opt = _branch_and_bound_size(bits, universe, kept, min(opt, _greedy_cover_size(bits, universe)))
+            return opt, None, bits, _suffix_unions(bits), universe
         # generator existence is monotone in size: refute sizes downward
+        witness = None
         while opt > 1 and (found := next(_covers(bits, suffix, universe, opt - 1), None)):
             witness, opt = found, opt - 1
-    if want_all:
-        all_bases = tuple(_covers(bits, suffix, universe, opt))
-        return DimensionResult(opt, all_bases[0], all_bases)
-    return DimensionResult(opt, witness or next(_covers(bits, suffix, universe, opt)))
+        return opt, witness, bits, suffix, universe
+
+    def value(self) -> int:
+        """The fewest landmarks that cover every pair, with no witness scan."""
+        return self._optimum()[0] if self.universe else 0
+
+    def solve(self, want_all: bool) -> DimensionResult:
+        """The optimum, its lex-least witness, and every basis if `want_all`."""
+        if self.universe == 0:
+            # no pair to separate (one vertex, or at most one edge): the empty set
+            return DimensionResult(0, (), ((),) if want_all else None)
+        opt, witness, bits, suffix, universe = self._optimum()
+        covers = _covers(bits, suffix, universe, opt)
+        if want_all:
+            all_bases = tuple(covers)
+            return DimensionResult(opt, all_bases[0], all_bases)
+        return DimensionResult(opt, witness or next(covers))
 
 
-def _fits(levels: list[list[int]], n_obj: int, bits: list[int], universe: int, size: int) -> bool:
-    """True when at most `size` landmarks cover `universe`, that is when
-    `_minimum_cover(levels, n_obj, False).value <= size`; bits and universe
-    are `_pair_bitsets(levels, n_obj)`.
-
-    `_minimum_cover`'s gate, applied to `size`, picks one of its searches:
-    a lexicographic scan for a cover of exactly `size` landmarks (generator
-    existence is monotone in size), or the branch-and-bound over the minimal
-    separator sets, bounded by `size + 1`.
-    """
-    if size < 1 or universe == 0:
-        return size >= 0 and universe == 0
-    size = min(size, len(bits))
-    if comb(len(bits), size) < BRANCH_AND_BOUND_MIN_SUBSETS:
-        return next(_covers(bits, _suffix_unions(bits), universe, size), None) is not None
-    seps, reduced = _minimal_separators(bits, universe, level_rows(levels, n_obj), n_obj)
-    return _branch_and_bound_size(reduced, (1 << len(seps)) - 1, seps, size + 1) <= size
-
-
-def _problem(g: Graph, edges: bool) -> tuple[list[list[int]], int]:
-    """(levels, objects) of g's edge problem if `edges`, else of its vertex
+def _problem(g: Graph, edges: bool) -> _Cover:
+    """The cover search of g's edge problem if `edges`, else of its vertex
     problem, after the guards: connectivity, then the pair-bit cap."""
     what = "edge metric dimension" if edges else "metric dimension"
     if not is_connected(g):
         raise DisconnectedError(f"{what} requires a connected graph")
     n_obj = g.m if edges else g.n
     _check_pair_bits(g.n, n_obj)
-    return (g.edge_levels if edges else all_pairs_distances(g).levels), n_obj
+    return _Cover(g.edge_levels if edges else all_pairs_distances(g).levels, n_obj)
 
 
 def metric_dimension(g: Graph, want_all_bases: bool = False) -> DimensionResult:
     """Minimum vertex set with pairwise distinct vertex signatures."""
-    return _minimum_cover(*_problem(g, False), want_all_bases)
+    return _problem(g, False).solve(want_all_bases)
 
 
 def edge_metric_dimension(g: Graph, want_all_bases: bool = False) -> DimensionResult:
     """Minimum vertex set with pairwise distinct edge signatures."""
-    return _minimum_cover(*_problem(g, True), want_all_bases)
+    return _problem(g, True).solve(want_all_bases)
 
 
 def min_joint_cover(g: Graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -480,8 +505,8 @@ def min_joint_cover(g: Graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ..
     # both guards before g's distances are computed
     _check_pair_bits(g.n, g.n)
     _check_pair_bits(g.n, g.m)
-    vres = _minimum_cover(all_pairs_distances(g).levels, g.n, True)
-    eres = _minimum_cover(g.edge_levels, g.m, True)
+    vres = _Cover(all_pairs_distances(g).levels, g.n).solve(True)
+    eres = _Cover(g.edge_levels, g.m).solve(True)
     # the bases come in lexicographic order: the first pair at the least size is the least
     t_masks = [(sum(1 << v for v in t), t) for t in eres.all_bases]
     best = None

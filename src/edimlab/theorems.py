@@ -7,12 +7,12 @@ not_applicable records which precondition excluded the instance.  Passing
 instances keep the certificate empty.
 
 A sweepable statement needs dim or edim only against a threshold, so its
-check decides that threshold with the refutations of the cover search
-(`resolver._fits`, "do at most s landmarks resolve the objects?") on pair
-bitsets built once per graph: edim = n - 1 is "not n - 2 but n - 1", and
-a bound that grows with dim or edim holds exactly when no fewer landmarks
-than the least value meeting it suffice.  dim and edim are solved exactly
-only for a failure's certificate.
+check decides that threshold with the refutations of the graph's
+cover-search instance (`resolver._problem(g, edges).fits(s)`, "do at most
+s landmarks resolve the objects?"): edim = n - 1 is "not n - 2 but
+n - 1", and a bound that grows with dim or edim holds exactly when no
+fewer landmarks than the least value meeting it suffice.  The instance
+gives its `value()` only for a failure's certificate.
 
 CHECKS is the one registry of the statements that a sweep over all small
 connected graphs can check: it maps each id to its checker and to the
@@ -28,7 +28,7 @@ from math import comb
 
 from .constructions import (
     _check_path_copies,
-    _path_product_levels,
+    _path_product_problem,
     construct_F,
     construct_H,
     join,
@@ -38,16 +38,7 @@ from .errors import DisconnectedError, KOutOfRangeError
 from .experiments import _connected_graph_from_mask, class_sweep, labeled_masks
 from .formats import write_graph6
 from .graph import Graph, bits_of, build_graph, diameter, is_connected, max_degree
-from .resolver import (
-    _fits,
-    _generates,
-    _minimum_cover,
-    _pair_bitsets,
-    _problem,
-    edge_metric_dimension,
-    metric_dimension,
-    min_joint_cover,
-)
+from .resolver import _problem, edge_metric_dimension, metric_dimension, min_joint_cover
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -99,15 +90,6 @@ def full_edim_condition(g: Graph) -> tuple[bool, tuple[int, int] | None]:
     return True, None
 
 
-def _fits_of(g: Graph, edges: bool) -> Callable[[int], bool]:
-    """fits(s): whether at most s landmarks resolve g's edges, if `edges`,
-    else its vertices.  The solves' guards run here, and the pair bitsets
-    are built once for every question asked."""
-    levels, n_obj = _problem(g, edges)
-    bits, universe = _pair_bitsets(levels, n_obj)
-    return lambda s: _fits(levels, n_obj, bits, universe, s)
-
-
 def _least(bound: Callable[[int], int], target: int) -> int:
     """The least k >= 0 with target <= bound(k), for bound non-decreasing in k."""
     k = 0
@@ -127,12 +109,12 @@ def check_ncondition_theorem(g: Graph) -> TheoremReport:
     gid = _graph_id(g)
     if g.n < 2 or g.m < 2:
         return _na("ncondition", gid, "needs n >= 2 and at least 2 edges", n=g.n, m=g.m)
-    fits = _fits_of(g, True)
-    full = not fits(g.n - 2) and fits(g.n - 1)
+    problem = _problem(g, True)
+    full = not problem.fits(g.n - 2) and problem.fits(g.n - 1)
     cond, pair = full_edim_condition(g)
     if full == cond:
         return TheoremReport("ncondition", gid, HOLDS)
-    cert = {"n": g.n, "edim": edge_metric_dimension(g).value, "condition": cond}
+    cert = {"n": g.n, "edim": problem.value(), "condition": cond}
     if pair is not None:
         cert["pair_without_hub"] = list(pair)
     return TheoremReport("ncondition", gid, FAILS, cert)
@@ -143,7 +125,7 @@ def check_corollary_diam_triangle(g: Graph) -> TheoremReport:
     gid = _graph_id(g)
     if g.n < 2 or g.m < 2:
         return _na("corollary", gid, "needs n >= 2 and at least 2 edges", n=g.n, m=g.m)
-    fits = _fits_of(g, True)
+    fits = _problem(g, True).fits
     if fits(g.n - 2) or not fits(g.n - 1):
         return TheoremReport("corollary", gid, HOLDS)
     edim = g.n - 1
@@ -170,11 +152,11 @@ def check_vertex_count_bound(g: Graph) -> TheoremReport:
     gid = _graph_id(g)
     if g.n < 2:
         return _na("vertex_bound", gid, "needs n >= 2", n=g.n)
-    fits = _fits_of(g, False)
+    problem = _problem(g, False)
     diam = diameter(g)
-    if not fits(_least(lambda k: k + diam**k, g.n) - 1):
+    if not problem.fits(_least(lambda k: k + diam**k, g.n) - 1):
         return TheoremReport("vertex_bound", gid, HOLDS)
-    dim = metric_dimension(g).value
+    dim = problem.value()
     bound = dim + diam**dim
     return TheoremReport(
         "vertex_bound", gid, FAILS,
@@ -195,11 +177,11 @@ def check_edge_count_bound(g: Graph) -> TheoremReport:
     gid = _graph_id(g)
     if g.m < 1:
         return _na("edge_bound", gid, "needs at least one edge", m=g.m)
-    fits = _fits_of(g, True)
+    problem = _problem(g, True)
     diam = diameter(g)
-    if not fits(_least(lambda k: _edge_count_bound(k, diam), g.m) - 1):
+    if not problem.fits(_least(lambda k: _edge_count_bound(k, diam), g.m) - 1):
         return TheoremReport("edge_bound", gid, HOLDS)
-    k = edge_metric_dimension(g).value
+    k = problem.value()
     bound = _edge_count_bound(k, diam)
     return TheoremReport(
         "edge_bound", gid, FAILS,
@@ -214,13 +196,14 @@ def check_max_degree_lemmas(g: Graph) -> TheoremReport:
         return _na("degree_lemmas", gid, "needs n >= 3", n=g.n)
     if max_degree(g) < g.n - 1:
         return TheoremReport("degree_lemmas", gid, HOLDS)
-    fits = _fits_of(g, True)
+    problem = _problem(g, True)
+    fits = problem.fits
     universal = sum(1 for a in g.adj_bits if a.bit_count() == g.n - 1)
     # edim is n - 2 or n - 1, and n - 1 when two vertices are universal
     if fits(g.n - 3) or not fits(g.n - 1) or (universal >= 2 and fits(g.n - 2)):
         return TheoremReport(
             "degree_lemmas", gid, FAILS,
-            {"n": g.n, "edim": edge_metric_dimension(g).value, "universal_vertices": universal},
+            {"n": g.n, "edim": problem.value(), "universal_vertices": universal},
         )
     return TheoremReport("degree_lemmas", gid, HOLDS)
 
@@ -281,13 +264,12 @@ def check_join_K1_theorem(g: Graph) -> TheoremReport:
     predicate = join_K1_predicate(g)
     joined = join(g, build_graph(1, []))
     expected = g.n if predicate else g.n - 1
-    fits = _fits_of(joined, True)
-    if fits(expected) and not fits(expected - 1):
+    problem = _problem(joined, True)
+    if problem.fits(expected) and not problem.fits(expected - 1):
         return TheoremReport("join", gid, HOLDS)
-    edim = edge_metric_dimension(joined).value
     return TheoremReport(
         "join", gid, FAILS,
-        {"n": g.n, "predicate": predicate, "edim_of_join": edim, "expected": expected},
+        {"n": g.n, "predicate": predicate, "edim_of_join": problem.value(), "expected": expected},
     )
 
 
@@ -295,8 +277,8 @@ def check_product_theorem(g: Graph, m: int) -> TheoremReport:
     """k <= edim(g x P_m) <= k+1 for the joint-cover number k, with the
     constructed upper witness actually generating.
 
-    Decided on the product's pair bitsets, over its edge levels composed
-    from g's distances, so no product is built: the witness has k + 1
+    Decided on the product's cover-search instance, over its edge levels
+    composed from g's distances, so no product is built: the witness has k + 1
     landmarks, so when it generates edim <= k + 1.  For edim >= k, read
     the landmarks of any edge generator of g x P_m as vertices of g: from
     (u, i), two rungs between copies 1 and 2 are separated exactly when u
@@ -310,15 +292,12 @@ def check_product_theorem(g: Graph, m: int) -> TheoremReport:
     _check_path_copies(m)
     gid = f"{_graph_id(g)} m={m}"
     k, cover = min_joint_cover(g)
-    levels, n_obj = _path_product_levels(g, m)
-    bits, universe = _pair_bitsets(levels, n_obj)
+    product = _path_product_problem(g, m)
     witness = witness_from_joint_cover(g, m, cover)
-    witness_ok = _generates(bits, universe, witness)
-    if witness_ok and (
-        k == max(map(len, cover)) or not _fits(levels, n_obj, bits, universe, k - 1)
-    ):
+    witness_ok = product.generates(witness)
+    if witness_ok and (k == max(map(len, cover)) or not product.fits(k - 1)):
         return TheoremReport("product", gid, HOLDS)
-    edim = _minimum_cover(levels, n_obj, False).value
+    edim = product.value()
     return TheoremReport(
         "product", gid, FAILS,
         {"joint_k": k, "edim_of_product": edim, "m": m,

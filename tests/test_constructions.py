@@ -28,13 +28,11 @@ from edimlab import (
 from edimlab.constructions import (
     MAX_FK_K,
     _path_product_edge_levels,
-    _path_product_levels,
-    path_product_edim,
+    _path_product_problem,
     witness_from_joint_cover,
 )
 from edimlab.experiments import _graph_of_mask
 from edimlab.graph import _edge_levels, level_rows
-from edimlab.resolver import _generates, _pair_bitsets
 
 from conftest import complete, connected_graphs, cycle, path
 
@@ -166,7 +164,8 @@ def test_path_product_edim_equals_the_generic_solve_on_every_class():
         for mask, _ in connected_classes(n):
             g = _graph_of_mask(n, mask)
             for m in (2, 3):
-                assert path_product_edim(g, m) == edge_metric_dimension(cartesian_path(g, m).graph), (n, mask, m)
+                got = _path_product_problem(g, m).solve(False)
+                assert got == edge_metric_dimension(cartesian_path(g, m).graph), (n, mask, m)
 
 
 @given(connected_graphs(min_n=1, max_n=8), st.integers(2, 4))
@@ -175,7 +174,7 @@ def test_path_product_edim_equals_the_generic_solve_on_every_class():
 @example(g=build_graph(1, []), m=4)
 @example(g=path(2), m=3)
 def test_path_product_edim_equals_the_generic_solve(g, m):
-    assert path_product_edim(g, m) == edge_metric_dimension(cartesian_path(g, m).graph)
+    assert _path_product_problem(g, m).solve(False) == edge_metric_dimension(cartesian_path(g, m).graph)
 
 
 def _witness_tests_agree(g, m, seed):
@@ -188,11 +187,11 @@ def _witness_tests_agree(g, m, seed):
     rng = random.Random(seed)
     landmark_sets = [witness_from_joint_cover(g, m, cover)]
     landmark_sets += [rng.sample(range(m * g.n), rng.randint(1, k + 1)) for _ in range(4)]
-    bits, universe = _pair_bitsets(*_path_product_levels(g, m))
+    product = _path_product_problem(g, m)
     prod = cartesian_path(g, m).graph
     answers = set()
     for s in landmark_sets:
-        got = _generates(bits, universe, s)
+        got = product.generates(s)
         assert got == is_edge_generator(prod, s), (g.n, g.edges, m, sorted(s))
         answers.add(got)
     return answers
@@ -220,14 +219,14 @@ def test_path_product_edim_refuses_what_the_generic_solve_refuses():
     k100 = complete(100)
     disconnected = [build_graph(2, []), build_graph(4, [(0, 1), (2, 3)]), build_graph(101, k100.edges)]
     for g in disconnected:
-        for solve in (path_product_edim, lambda g, m: edge_metric_dimension(cartesian_path(g, m).graph)):
+        for solve in (_path_product_problem, lambda g, m: edge_metric_dimension(cartesian_path(g, m).graph)):
             # connectivity is tested before the pair-bit cap, which K_100 + K_1 exceeds
             with pytest.raises(DisconnectedError):
                 solve(g, 2)
     with pytest.raises(MTooSmallError):
-        path_product_edim(path(3), 1)
+        _path_product_problem(path(3), 1)
     with pytest.raises(BadParamsError):
-        path_product_edim(path(2049), 2)
+        _path_product_problem(path(2049), 2)
     # 200 landmarks x C(2 * 4950 + 100, 2) is about 1.0e10 pair bits
     with pytest.raises(NTooLargeError):
         edge_metric_dimension(cartesian_path(k100, 2).graph)
@@ -236,7 +235,7 @@ def test_path_product_edim_refuses_what_the_generic_solve_refuses():
 def test_path_product_edim_tests_the_cap_before_reading_distances(bfs_runs):
     # on a fresh K_100: only g's connectivity test, no all-source BFS
     with pytest.raises(NTooLargeError):
-        path_product_edim(complete(100), 2)
+        _path_product_problem(complete(100), 2)
     assert bfs_runs == [0]
 
 

@@ -266,20 +266,20 @@ def test_branch_and_bound_matches_naive(monkeypatch, bnb_calls):
 
 
 def test_branch_and_bound_returns_the_lesser_of_upper_and_the_optimum(monkeypatch):
-    # upper need not be a cover size: _fits passes size + 1
+    # upper need not be a cover size: fits passes size + 1
     monkeypatch.setattr(resolver, "BRANCH_AND_BOUND_MIN_SUBSETS", 10**9)  # optimum from the scans
     graphs = [_graph_of_mask(n, mask) for n in range(1, 7) for mask, _ in connected_classes(n)]
     rng = random.Random(18)
     graphs += [_gnp_connected(rng, n, p) for n in range(8, 15) for p in (0.3, 0.5, 0.7)]
     for g in graphs:
         for kind, (levels, n_obj) in _object_levels(g).items():
-            bits, universe = resolver._pair_bitsets(levels, n_obj)
-            if universe == 0:
+            cover = resolver._Cover(levels, n_obj)
+            if cover.universe == 0:
                 continue
-            opt = resolver._minimum_cover(levels, n_obj, False).value
-            kept, reduced = resolver._minimal_separators(bits, universe, level_rows(levels, n_obj), n_obj)
-            for upper in range(1, len(bits) + 2):
-                got = resolver._branch_and_bound_size(reduced, (1 << len(kept)) - 1, kept, upper)
+            opt = cover.value()
+            kept, reduced, sets = cover._reduced()
+            for upper in range(1, len(cover.bits) + 2):
+                got = resolver._branch_and_bound_size(reduced, sets, kept, upper)
                 assert got == min(upper, opt), (g.edges, kind, upper)
 
 
@@ -309,11 +309,31 @@ def test_fits_answers_whether_the_minimum_cover_has_at_most_size_landmarks(g):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(resolver, "BRANCH_AND_BOUND_MIN_SUBSETS", gate)
             for levels, n_obj in _object_levels(g).values():
-                bits, universe = resolver._pair_bitsets(levels, n_obj)
-                value = resolver._minimum_cover(levels, n_obj, False).value
-                for size in range(-2, len(bits) + 1):
-                    assert resolver._fits(levels, n_obj, bits, universe, size) == (value <= size), (
-                        g.edges, n_obj, gate, size)
+                # one instance per gate answers every size
+                cover = resolver._Cover(levels, n_obj)
+                value = cover.value()
+                for size in range(-2, len(cover.bits) + 1):
+                    assert cover.fits(size) == (value <= size), (g.edges, n_obj, gate, size)
+
+
+def test_an_instance_finds_its_minimal_separator_sets_once(monkeypatch):
+    monkeypatch.setattr(resolver, "BRANCH_AND_BOUND_MIN_SUBSETS", 0)  # branch-and-bound always
+    calls = []
+    real = resolver._minimal_separators
+
+    def spy(bits, universe, rows, n_obj):
+        calls.append(n_obj)
+        return real(bits, universe, rows, n_obj)
+
+    monkeypatch.setattr(resolver, "_minimal_separators", spy)
+    g = _gnp_connected(random.Random(5), 9, 0.5)
+    for levels, n_obj in _object_levels(g).values():
+        cover = resolver._Cover(levels, n_obj)
+        answers = [cover.fits(size) for size in range(1, g.n + 1)]
+        res = cover.solve(True)
+        assert answers == [res.value <= size for size in range(1, g.n + 1)]
+    # one call per instance: the vertex problem's, then the edge problem's
+    assert calls == [g.n, g.m]
 
 
 def _separator_sets(g):

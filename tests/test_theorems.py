@@ -36,7 +36,7 @@ from edimlab import (
     write_graph6,
 )
 from edimlab import resolver, theorems
-from edimlab.constructions import join, path_product_edim, witness_from_joint_cover
+from edimlab.constructions import _path_product_problem, join, witness_from_joint_cover
 from edimlab.experiments import _graph_of_mask, connected_classes
 from edimlab.theorems import FAILS, HOLDS, NOT_APPLICABLE, TheoremReport
 
@@ -163,7 +163,7 @@ def test_the_product_edim_is_at_least_the_factors_dim_and_edim():
             g = _graph_of_mask(n, mask)
             floor = max(metric_dimension(g).value, edge_metric_dimension(g).value)
             for m in (2, 3):
-                assert path_product_edim(g, m).value >= floor, (n, mask, m)
+                assert _path_product_problem(g, m).value() >= floor, (n, mask, m)
 
 
 def test_the_joint_cover_is_its_larger_basis_on_110_of_the_112_classes_at_n6():
@@ -178,7 +178,7 @@ def _exact_product_report(g, m):
     """The product check's report by its defining rule: edim of the built
     product solved exactly, and the witness tested on the built product."""
     k, cover = min_joint_cover(g)
-    edim = path_product_edim(g, m).value
+    edim = _path_product_problem(g, m).value()
     witness = witness_from_joint_cover(g, m, cover)
     witness_ok = is_edge_generator(cartesian_path(g, m).graph, witness)
     gid = f"{write_graph6(g)} m={m}"
@@ -207,23 +207,33 @@ def test_product_check_matches_its_exact_rule(g, m):
     assert check_product_theorem(g, m) == _exact_product_report(g, m)
 
 
-def test_a_holding_product_check_solves_no_product(monkeypatch):
+@pytest.fixture
+def solved(monkeypatch):
+    """The object count of every cover-search instance asked for its
+    optimum, by `solve` or by `value`."""
+    calls = []
+    for name in ("solve", "value"):
+        real = getattr(resolver._Cover, name)
+
+        def spy(self, *args, real=real):
+            calls.append(self.n_obj)
+            return real(self, *args)
+
+        monkeypatch.setattr(resolver._Cover, name, spy)
+    return calls
+
+
+def test_a_holding_product_check_solves_no_product(monkeypatch, solved):
     # the verdict needs the witness test, and a refutation of k - 1 only
     # when k exceeds dim and edim of the factor:
     # C_5 x P_2 has 10 vertices and 15 edges, C_5 itself 5 and 5
-    solved, greedy = [], []
-    real_cover, real_greedy = resolver._minimum_cover, resolver._greedy_cover_size
-
-    def cover_spy(levels, n_obj, want_all):
-        solved.append(n_obj)
-        return real_cover(levels, n_obj, want_all)
+    greedy = []
+    real_greedy = resolver._greedy_cover_size
 
     def greedy_spy(bits, universe):
         greedy.append(len(bits))
         return real_greedy(bits, universe)
 
-    monkeypatch.setattr(resolver, "_minimum_cover", cover_spy)
-    monkeypatch.setattr(theorems, "_minimum_cover", cover_spy)
     monkeypatch.setattr(resolver, "_greedy_cover_size", greedy_spy)
     assert check_product_theorem(cycle(5), 2).verdict == HOLDS
     assert solved == [5, 5] and greedy == [5, 5]  # the joint cover's two solves on C_5
@@ -236,13 +246,14 @@ def test_a_holding_product_check_solves_no_product(monkeypatch):
 ])
 def test_the_product_check_refutes_k_minus_1_only_when_k_exceeds_dim_and_edim(monkeypatch, g, m, sizes, verdict):
     asked = []
-    real_fits = theorems._fits
+    real_fits = resolver._Cover.fits
 
-    def fits_spy(levels, n_obj, bits, universe, size):
+    def fits_spy(self, size):
         asked.append(size)
-        return real_fits(levels, n_obj, bits, universe, size)
+        return real_fits(self, size)
 
-    monkeypatch.setattr(theorems, "_fits", fits_spy)
+    # the joint cover asks no fits question: every size asked is the product's
+    monkeypatch.setattr(resolver._Cover, "fits", fits_spy)
     report = check_product_theorem(g, m)
     assert report.verdict == verdict and asked == sizes
     if verdict == FAILS:
@@ -424,16 +435,7 @@ def test_threshold_checks_match_their_exact_rules(g, theorem_id, forced):
 
 
 @pytest.mark.parametrize("check", [check_ncondition_theorem, check_vertex_count_bound])
-def test_a_holding_threshold_check_solves_nothing(monkeypatch, check):
-    solved = []
-    real_cover = resolver._minimum_cover
-
-    def cover_spy(levels, n_obj, want_all):
-        solved.append(n_obj)
-        return real_cover(levels, n_obj, want_all)
-
-    monkeypatch.setattr(resolver, "_minimum_cover", cover_spy)
-    monkeypatch.setattr(theorems, "_minimum_cover", cover_spy)
+def test_a_holding_threshold_check_solves_nothing(monkeypatch, solved, check):
     for n in range(3, 7):
         for mask, _ in connected_classes(n):
             assert check(_graph_of_mask(n, mask)).verdict == HOLDS
