@@ -32,17 +32,16 @@ experiments.canonical_mask over every child that run names, and
 experiments._orbit_minima over every parent it lists the automorphisms
 of; their objects are the classes on N vertices, the children and the
 parents.  Prints one tab-separated line per input, problem and kernel:
-input, problem, objects, kernel, best seconds.  Each K must be at least 1
-and F_K's edim must fit the solvers' pair-bit cap (K <= 6), and each N
-must be a census size, 1 to 7; any other K or N exits 2 before anything
-is built or timed.  Needs only the standard library and this checkout's
-src/.
+input, problem, objects, kernel, best seconds.  Each K must be 1 to
+theorems.MAX_FAMILY_K (6), the F_K whose edim fits the solvers' pair-bit
+cap, and each N must be a census size, 1 to 7; any other K or N exits 2
+before anything is built or timed.  Needs only the standard library and
+this checkout's src/.
 """
 
 import argparse
 import sys
 import time
-from math import comb
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,8 +55,8 @@ from edimlab.constructions import (  # noqa: E402
     construct_F,
     witness_from_joint_cover,
 )
-from edimlab.errors import NTooLargeError  # noqa: E402
 from edimlab.graph import _edge_levels, all_pairs_distances, build_graph  # noqa: E402
+from edimlab.theorems import MAX_FAMILY_K  # noqa: E402
 
 
 def best_of(repeat: int, fn, *args):
@@ -68,19 +67,6 @@ def best_of(repeat: int, fn, *args):
         out = fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best, out
-
-
-def check_fk(k: int) -> None:
-    """Raise ValueError unless F_k exists and its edim fits the pair-bit cap."""
-    if k < 1:
-        raise ValueError(f"--fk {k}: K must be at least 1")
-    # F_k: cliques on k and 2^k vertices, and b_i adjacent to the 2^(k-1) a_S with i in S
-    n = k + (1 << k)
-    edges = comb(k, 2) + comb(1 << k, 2) + k * (1 << k - 1)
-    try:
-        resolver._check_pair_bits(n, edges)
-    except NTooLargeError as err:
-        raise ValueError(f"--fk {k}: {err}") from None
 
 
 def inputs(fk):
@@ -195,10 +181,8 @@ def main() -> None:
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
     for k in args.fk:
-        try:
-            check_fk(k)
-        except ValueError as err:
-            ap.error(str(err))
+        if not 1 <= k <= MAX_FAMILY_K:
+            ap.error(f"--fk {k}: K must be 1 to {MAX_FAMILY_K}, where F_K's edim fits the pair-bit cap")
     for n in args.census:
         if not 1 <= n <= experiments.CENSUS_MAX_N:
             ap.error(f"--census {n}: N must be a census size, 1 to {experiments.CENSUS_MAX_N}")

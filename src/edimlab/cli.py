@@ -26,7 +26,7 @@ from .experiments import survey_triples
 from .formats import edge_list_chunks, parse_graph_text, write_graph6
 from .graph import Graph
 from .resolver import edge_metric_dimension, metric_dimension, min_joint_cover
-from .theorems import CHECKS, FAILS, check_Fk_theorem, check_Hk_theorem, sweep_theorem
+from .theorems import CHECKS, FAILS, MAX_FAMILY_K, check_Fk_theorem, check_Hk_theorem, sweep_theorem
 
 
 def _build_from_tokens(tokens) -> LabeledConstruction | Graph:
@@ -203,8 +203,8 @@ def cmd_verify(args) -> int:
     if len(given) > 1:
         raise BadParamsError(f"{given[0]} and {given[1]} are two inputs to check; give one")
     if theorem in ("fk", "hk"):
-        if args.kmax is None or args.kmax < 1:
-            raise BadParamsError(f"{theorem} needs --kmax of at least 1")
+        if args.kmax is None or not 1 <= args.kmax <= MAX_FAMILY_K:
+            raise BadParamsError(f"{theorem} needs --kmax from 1 to {MAX_FAMILY_K}")
         check = check_Fk_theorem if theorem == "fk" else check_Hk_theorem
         return _verify_single([check(k) for k in range(1, args.kmax + 1)], args.report)
     if args.graph or args.g:
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--g", help="inline graph spec, e.g. path:3")
     v.add_argument("--sweep", type=int, metavar="N_MAX",
                    help="check every labeled connected graph up to N_MAX vertices")
-    v.add_argument("--kmax", type=int, help="for fk/hk: check k = 1..KMAX")
+    v.add_argument("--kmax", type=int, help=f"for fk/hk: check k = 1..KMAX, KMAX at most {MAX_FAMILY_K}")
     v.add_argument("--m", type=int, help="path copies for the product theorem")
     v.add_argument("--report", help="write a JSON report document here")
     v.set_defaults(fn=cmd_verify)

@@ -17,7 +17,8 @@ gives its `value()` only for a failure's certificate.
 CHECKS is the one registry of the statements that a sweep over all small
 connected graphs can check: it maps each id to its checker and to the
 smallest n the sweep feeds it.  The CLI takes its `verify` choices and its
-single-graph dispatch from it; F_k and H_k are checked per k instead.
+single-graph dispatch from it; F_k and H_k are checked per k instead, by
+one certification of their values (no witness scan) for k to MAX_FAMILY_K.
 """
 
 import json
@@ -38,11 +39,13 @@ from .errors import DisconnectedError, KOutOfRangeError
 from .experiments import _connected_graph_from_mask, class_sweep, labeled_masks
 from .formats import write_graph6
 from .graph import Graph, bits_of, build_graph, diameter, is_connected, max_degree
-from .resolver import _problem, edge_metric_dimension, metric_dimension, min_joint_cover
+from .resolver import _problem, min_joint_cover
 
 HOLDS = "holds"
 FAILS = "fails"
 NOT_APPLICABLE = "not_applicable"
+
+MAX_FAMILY_K = 6  # the last k whose F_k and H_k edim instances fit resolver.MAX_PAIR_BITS
 
 @dataclass(frozen=True)
 class TheoremReport:
@@ -208,39 +211,31 @@ def check_max_degree_lemmas(g: Graph) -> TheoremReport:
     return TheoremReport("degree_lemmas", gid, HOLDS)
 
 
-def check_Fk_theorem(k: int) -> TheoremReport:
-    """dim(F_k) = k and edim(F_k) = k + 2^k - 2, by exhaustive solve."""
-    if not isinstance(k, int) or not 1 <= k <= 4:
-        raise KOutOfRangeError(f"full certification supports k in 1..4, got {k!r}")
-    g = construct_F(k).graph
-    gid = f"F_{k}"
-    dim = metric_dimension(g).value
-    edim = edge_metric_dimension(g).value
-    want_dim, want_edim = k, k + (1 << k) - 2
+def _certify(theorem_id: str, k: int, construct, closed_form) -> TheoremReport:
+    """(dim, edim) of the family graph construct(k) against closed_form(k),
+    values only; k is checked before any graph is built."""
+    if not isinstance(k, int) or not 1 <= k <= MAX_FAMILY_K:
+        raise KOutOfRangeError(f"full certification supports k in 1..{MAX_FAMILY_K}, got {k!r}")
+    g = construct(k).graph
+    gid = f"{theorem_id[0].upper()}_{k}"
+    dim, edim = _problem(g, False).value(), _problem(g, True).value()
+    want_dim, want_edim = closed_form(k)
     if (dim, edim) == (want_dim, want_edim):
-        return TheoremReport("fk", gid, HOLDS)
-    return TheoremReport(
-        "fk", gid, FAILS,
-        {"k": k, "dim": dim, "edim": edim, "expected_dim": want_dim, "expected_edim": want_edim},
-    )
+        return TheoremReport(theorem_id, gid, HOLDS)
+    cert = {"k": k, "dim": dim, "edim": edim, "expected_dim": want_dim, "expected_edim": want_edim}
+    if theorem_id == "hk":
+        cert["n"] = g.n
+    return TheoremReport(theorem_id, gid, FAILS, cert)
+
+
+def check_Fk_theorem(k: int) -> TheoremReport:
+    """dim(F_k) = k and edim(F_k) = k + 2^k - 2."""
+    return _certify("fk", k, construct_F, lambda k: (k, k + (1 << k) - 2))
 
 
 def check_Hk_theorem(k: int) -> TheoremReport:
-    """dim(H_k) = k+1 and edim(H_k) = k + 2^k = n - 1, by exhaustive solve."""
-    if not isinstance(k, int) or not 1 <= k <= 3:
-        raise KOutOfRangeError(f"full certification supports k in 1..3, got {k!r}")
-    g = construct_H(k).graph
-    gid = f"H_{k}"
-    dim = metric_dimension(g).value
-    edim = edge_metric_dimension(g).value
-    want_dim, want_edim = k + 1, k + (1 << k)
-    if (dim, edim) == (want_dim, want_edim) and want_edim == g.n - 1:
-        return TheoremReport("hk", gid, HOLDS)
-    return TheoremReport(
-        "hk", gid, FAILS,
-        {"k": k, "n": g.n, "dim": dim, "edim": edim,
-         "expected_dim": want_dim, "expected_edim": want_edim},
-    )
+    """dim(H_k) = k+1 and edim(H_k) = k + 2^k, which is n - 1."""
+    return _certify("hk", k, construct_H, lambda k: (k + 1, k + (1 << k)))
 
 
 def join_K1_predicate(g: Graph) -> bool:
@@ -291,6 +286,8 @@ def check_product_theorem(g: Graph, m: int) -> TheoremReport:
     """
     _check_path_copies(m)
     gid = f"{_graph_id(g)} m={m}"
+    if g.m < 1:
+        return _na("product", gid, "needs at least one edge", edges=g.m)
     k, cover = min_joint_cover(g)
     product = _path_product_problem(g, m)
     witness = witness_from_joint_cover(g, m, cover)

@@ -6,6 +6,7 @@ import pytest
 
 from edimlab import parse_edge_list, write_edge_list
 from edimlab.cli import main
+from edimlab.theorems import CHECKS
 
 from conftest import cli_env, path as path_graph
 
@@ -185,13 +186,17 @@ def test_solves_at_the_vertex_cap_fit_in_1_gib(argv):
         ("verify", "product", "--sweep", "3", "--m", "0"),
         ("verify", "product", "--sweep", "3"),
         ("verify", "product", "--g", "path:3", "--m", "0"),
+        ("verify", "product", "--g", "path:1", "--m", "1"),
         # sweep sizes below 1, as for survey
         ("verify", "ncondition", "--sweep", "0"),
         ("verify", "join", "--sweep", "-3"),
         ("survey", "0"),
-        # family ranges below 1
+        # family ranges below 1, and past the last k whose edim fits the
+        # pair-bit cap (6), refused before any k is solved
         ("verify", "fk", "--kmax", "0"),
         ("verify", "hk", "--kmax", "-2"),
+        ("verify", "fk", "--kmax", "7"),
+        ("verify", "hk", "--kmax", "12"),
         # sweeps that would check nothing: n_max below the checker's smallest n
         ("verify", "ncondition", "--sweep", "2"),
         ("verify", "corollary", "--sweep", "2"),
@@ -392,6 +397,18 @@ def test_verify_fk_range():
     assert proc.returncode == 0
     assert proc.stdout.count("\tholds") == 3
     assert "summary: 3 checked, 3 holds, 0 fails" in proc.stdout
+
+
+@pytest.mark.parametrize("theorem", sorted(CHECKS))
+def test_every_check_reports_the_one_vertex_graph_as_not_applicable(theorem, capsys):
+    # the product check too: an edgeless graph has no joint cover
+    m = ("--m", "2") if theorem == "product" else ()
+    assert main(["verify", theorem, "--g", "path:1", *m]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    record, summary = out.splitlines()
+    assert record.split("\t")[2] == "not_applicable"
+    assert summary == "summary: 1 checked, 0 holds, 0 fails, 1 not_applicable"
 
 
 def test_verify_single_graph(p5_file):

@@ -6,6 +6,8 @@ generator predicates, so no expected value comes from the solver itself.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edimlab import (
     build_graph,
@@ -86,13 +88,43 @@ def _slater(g):
     return len(leaves) - len(exterior) if exterior else 1
 
 
-def test_every_tree_up_to_12_vertices_has_dim_and_edim_l_minus_ex():
+def _assert_dim_and_edim_l_minus_ex(tree):
+    """dim = edim = L - ex for a networkx tree, witnesses checked."""
+    g = build_graph(tree.number_of_nodes(), [tuple(sorted(e)) for e in tree.edges()])
+    want = _slater(g)
+    assert (_dim(g), _edim(g)) == (want, want), g.edges
+
+
+def _every_tree_has_dim_and_edim_l_minus_ex(sizes) -> int:
+    """Check every tree with a vertex count in sizes; return how many there were."""
     nx = pytest.importorskip("networkx")
     trees = 0
-    for n in range(3, 13):
+    for n in sizes:
         for t in nx.nonisomorphic_trees(n):
-            g = build_graph(n, [tuple(sorted(e)) for e in t.edges()])
-            want = _slater(g)
-            assert (_dim(g), _edim(g)) == (want, want), g.edges
+            _assert_dim_and_edim_l_minus_ex(t)
             trees += 1
-    assert trees == 985
+    return trees
+
+
+def test_every_tree_up_to_12_vertices_has_dim_and_edim_l_minus_ex():
+    assert _every_tree_has_dim_and_edim_l_minus_ex(range(3, 13)) == 985
+
+
+@pytest.mark.extended
+def test_every_tree_with_13_to_16_vertices_has_dim_and_edim_l_minus_ex():
+    # 1301 + 3159 + 7741 + 19320 trees, the counts of OEIS A000055
+    assert _every_tree_has_dim_and_edim_l_minus_ex(range(13, 17)) == 31521
+
+
+# the Prüfer sequences of the labelled trees with 3 to 30 vertices; past 30
+# a solve can take seconds, as sparse graphs are where the exact search is slowest
+pruefer_sequences = st.integers(3, 30).flatmap(
+    lambda n: st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pruefer_sequences)
+def test_random_labelled_trees_up_to_30_vertices_have_dim_and_edim_l_minus_ex(seq):
+    nx = pytest.importorskip("networkx")
+    _assert_dim_and_edim_l_minus_ex(nx.from_prufer_sequence(seq))

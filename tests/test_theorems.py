@@ -10,7 +10,7 @@ from edimlab import (
     DisconnectedError,
     KOutOfRangeError,
     MTooSmallError,
-    NoEdgesError,
+    NTooLargeError,
     build_graph,
     cartesian_path,
     check_corollary_diam_triangle,
@@ -23,6 +23,7 @@ from edimlab import (
     check_product_theorem,
     check_vertex_count_bound,
     construct_F,
+    construct_H,
     edge_metric_dimension,
     enumerate_connected_graphs,
     full_edim_condition,
@@ -38,7 +39,7 @@ from edimlab import (
 from edimlab import resolver, theorems
 from edimlab.constructions import _path_product_problem, join, witness_from_joint_cover
 from edimlab.experiments import _graph_of_mask, connected_classes
-from edimlab.theorems import FAILS, HOLDS, NOT_APPLICABLE, TheoremReport
+from edimlab.theorems import FAILS, HOLDS, MAX_FAMILY_K, NOT_APPLICABLE, TheoremReport
 
 from conftest import complete, connected_graphs, cycle, neighbours_from_edges, path, star
 
@@ -101,9 +102,54 @@ def test_fk_hk_checkers():
     for k in (1, 2):
         assert check_Hk_theorem(k).verdict == HOLDS
     with pytest.raises(KOutOfRangeError):
-        check_Fk_theorem(5)
+        check_Fk_theorem(7)
     with pytest.raises(KOutOfRangeError):
-        check_Hk_theorem(4)
+        check_Hk_theorem(7)
+
+
+@pytest.mark.parametrize("check, k", [
+    (check_Fk_theorem, 5),
+    (check_Hk_theorem, 4),
+    (check_Hk_theorem, 5),
+    pytest.param(check_Fk_theorem, 6, marks=pytest.mark.extended),
+    pytest.param(check_Hk_theorem, 6, marks=pytest.mark.extended),
+])
+def test_the_families_hold_up_to_max_family_k(check, k):
+    assert check(k).verdict == HOLDS
+
+
+def test_max_family_k_is_the_last_k_whose_edim_instances_fit_the_pair_bit_cap():
+    for build in (construct_F, construct_H):
+        g = build(MAX_FAMILY_K).graph
+        resolver._check_pair_bits(g.n, g.m)
+        g = build(MAX_FAMILY_K + 1).graph
+        with pytest.raises(NTooLargeError):
+            resolver._check_pair_bits(g.n, g.m)
+
+
+@pytest.mark.parametrize("k", [0, MAX_FAMILY_K + 1, 11, 3.0])
+def test_a_family_k_out_of_range_is_refused_before_its_graph_is_built(monkeypatch, k):
+    def unbuilt(k):
+        raise AssertionError(f"built the family graph for k = {k}")
+
+    for name in ("construct_F", "construct_H"):
+        monkeypatch.setattr(theorems, name, unbuilt)
+    for check in (check_Fk_theorem, check_Hk_theorem):
+        with pytest.raises(KOutOfRangeError, match=f"1..{MAX_FAMILY_K}"):
+            check(k)
+
+
+def test_a_family_that_misses_its_closed_form_fails_with_its_values(monkeypatch):
+    # checked against the graph for k - 1, F_3 and H_3 miss their values
+    for name in ("construct_F", "construct_H"):
+        build = getattr(theorems, name)
+        monkeypatch.setattr(theorems, name, lambda k, build=build: build(k - 1))
+    assert check_Fk_theorem(4).to_record() == (
+        'fk\tF_4\tfails\t{"dim": 3, "edim": 9, "expected_dim": 4, "expected_edim": 18, "k": 4}'
+    )
+    assert check_Hk_theorem(4).to_record() == (
+        'hk\tH_4\tfails\t{"dim": 4, "edim": 11, "expected_dim": 5, "expected_edim": 20, "k": 4, "n": 12}'
+    )
 
 
 def test_join_predicate_examples():
@@ -128,8 +174,14 @@ def test_product_checker():
     assert check_product_theorem(complete(3), 2).verdict == HOLDS
     with pytest.raises(MTooSmallError):
         check_product_theorem(path(3), 1)
-    with pytest.raises(NoEdgesError):
-        check_product_theorem(build_graph(1, []), 2)
+    # the one-vertex graph has no edge, so no joint cover: not applicable,
+    # after the checks of m and of connectivity
+    report = check_product_theorem(build_graph(1, []), 2)
+    assert report.to_record() == (
+        'product\t@ m=2\tnot_applicable\t{"edges": 0, "reason": "needs at least one edge"}'
+    )
+    with pytest.raises(MTooSmallError):
+        check_product_theorem(build_graph(1, []), 1)
 
 
 F_QP_M2_RECORD = (
