@@ -27,17 +27,20 @@ copy j is object j*|E| + k, and the rung (v, j)-(v, j+1) is object
 m*|E| + j*n + v.  The value and the witness do not depend on how the
 objects are numbered.  It refuses what the generic solve refuses, before
 reading any distance: a bad m, a product over the vertex cap, a
-disconnected g, and a product over the solvers' pair-bit cap.  The
-product check reads g alone: it asks this instance for its bounds, on
-edge levels composed from the levels g keeps after its joint cover, so
-it builds no product and runs no BFS on one.
+disconnected g, and a product over the solvers' pair-bit cap.  These
+refusals are `_path_product_guard(g, m)`, which composes no levels and
+leaves the last two to `resolver._guard`; the product check asks it
+before it solves g's joint cover.  The product check reads g alone: it
+asks this instance for its bounds, on edge levels composed from the
+levels g keeps after its joint cover, so it builds no product and runs
+no BFS on one.
 """
 
 from dataclasses import dataclass
 
-from .errors import BadParamsError, DisconnectedError, KOutOfRangeError, MTooSmallError, NoEdgesError
-from .graph import MAX_VERTICES, Graph, _graph_from_edges, build_graph, is_connected
-from .resolver import _check_pair_bits, _Cover, min_joint_cover
+from .errors import BadParamsError, KOutOfRangeError, MTooSmallError, NoEdgesError
+from .graph import MAX_VERTICES, Graph, _graph_from_edges, build_graph
+from .resolver import _Cover, _guard, min_joint_cover
 
 MAX_FK_K = 11  # 2^k + k (+1 for H_k) must stay within MAX_VERTICES
 
@@ -122,14 +125,19 @@ def cartesian_path(g: Graph, m: int) -> LabeledConstruction:
     return LabeledConstruction(_graph_from_edges(total, tuple(edges)), labels)
 
 
+def _path_product_guard(g: Graph, m: int) -> int:
+    """The edge count of g x P_m, once the refusals of the generic solve
+    pass: m, the vertex cap, then resolver's guard.  Composes no levels."""
+    total = _product_order(g.n, m)
+    n_obj = m * g.m + (m - 1) * g.n
+    _guard(g, total, n_obj, "edge metric dimension")
+    return n_obj
+
+
 def _path_product_problem(g: Graph, m: int) -> _Cover:
     """The edge problem of g x P_m over its composed edge levels, behind
-    the guards of the generic solve (module docstring)."""
-    total = _product_order(g.n, m)
-    if not is_connected(g):
-        raise DisconnectedError("edge metric dimension requires a connected graph")
-    n_obj = m * g.m + (m - 1) * g.n
-    _check_pair_bits(total, n_obj)
+    the product's guard (module docstring)."""
+    n_obj = _path_product_guard(g, m)
     return _Cover(_path_product_edge_levels(g, m), n_obj)
 
 

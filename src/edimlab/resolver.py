@@ -16,7 +16,7 @@ its edge levels (`g.edge_levels`, read off the same masks) for edges; two
 objects at the same level are not separated.  A graph keeps its
 connectivity, distances and edge levels once computed, so every solve on
 one graph (as both of `min_joint_cover`'s) shares one BFS and one
-connectivity test.  Each solve runs its guards before it reads any
+connectivity test.  Each solve asks `_guard` before it reads any
 levels.  `is_vertex_generator` and `is_edge_generator` keep their own
 definition, pairwise distinct signature tuples, and run the BFS from the
 landmarks only (`graph.bfs_levels`), with the edge levels read off those
@@ -45,8 +45,13 @@ exactly s landmarks, or the branch-and-bound over the minimal separator
 sets bounded by s + 1.  So a check that needs only bounds on the optimum
 pays for refutations, not a full solve.  The gate is one method, and the
 minimal separator sets are found at most once per instance.  `_problem`
-is the one way from a graph to its instance: it runs the guards, then
+is the one way from a graph to its instance: it asks the guard, then
 reads the levels.
+
+One guard: `_guard(g, landmarks, objects, what)` tests that g is connected,
+then that landmarks x C(objects, 2) is within MAX_PAIR_BITS.  `_problem`,
+`min_joint_cover` (once, over the larger of its two object counts) and the
+product's guard in `constructions` ask it before anything is read.
 
 Minimal separator sets: when the branch-and-bound runs, it and the scans at
 the optimum work over the distinct inclusion-minimal separator sets instead
@@ -63,8 +68,8 @@ found only by one more landmark gets no node of its own, just a test of
 the landmarks that separate one of its uncovered pairs.
 
 A solve whose landmarks x C(objects, 2) exceeds MAX_PAIR_BITS raises
-NTooLargeError before it computes anything; the bitsets take about twice
-that, landmarks x objects x (objects + 1) bits.
+NTooLargeError from `_guard` before it computes anything; the bitsets
+take about twice that, landmarks x objects x (objects + 1) bits.
 """
 
 from dataclasses import dataclass
@@ -381,7 +386,11 @@ def _branch_and_bound_size(bits: list[int], universe: int, seps: list[int], uppe
     return best
 
 
-def _check_pair_bits(landmarks: int, objects: int) -> None:
+def _guard(g: Graph, landmarks: int, objects: int, what: str) -> None:
+    """The guards of every cover-search instance, asked before any level is
+    read: g connected, then landmarks x C(objects, 2) within MAX_PAIR_BITS."""
+    if not is_connected(g):
+        raise DisconnectedError(f"{what} requires a connected graph")
     need = landmarks * comb(objects, 2)
     if need > MAX_PAIR_BITS:
         raise NTooLargeError(
@@ -474,12 +483,9 @@ class _Cover:
 
 def _problem(g: Graph, edges: bool) -> _Cover:
     """The cover search of g's edge problem if `edges`, else of its vertex
-    problem, after the guards: connectivity, then the pair-bit cap."""
-    what = "edge metric dimension" if edges else "metric dimension"
-    if not is_connected(g):
-        raise DisconnectedError(f"{what} requires a connected graph")
+    problem, behind `_guard`."""
     n_obj = g.m if edges else g.n
-    _check_pair_bits(g.n, n_obj)
+    _guard(g, g.n, n_obj, "edge metric dimension" if edges else "metric dimension")
     return _Cover(g.edge_levels if edges else all_pairs_distances(g).levels, n_obj)
 
 
@@ -498,13 +504,10 @@ def min_joint_cover(g: Graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ..
 
     Returns (k, (S, T)) with the lexicographically least achieving pair.
     """
-    if not is_connected(g):
-        raise DisconnectedError("joint cover requires a connected graph")
+    # C(objects, 2) grows with the objects: one guard covers both instances
+    _guard(g, g.n, max(g.n, g.m), "joint cover")
     if g.m == 0:
         raise NoEdgesError("joint cover requires at least one edge")
-    # both guards before g's distances are computed
-    _check_pair_bits(g.n, g.n)
-    _check_pair_bits(g.n, g.m)
     vres = _Cover(all_pairs_distances(g).levels, g.n).solve(True)
     eres = _Cover(g.edge_levels, g.m).solve(True)
     # the bases come in lexicographic order: the first pair at the least size is the least

@@ -29,6 +29,7 @@ from math import comb
 
 from .constructions import (
     _check_path_copies,
+    _path_product_guard,
     _path_product_problem,
     construct_F,
     construct_H,
@@ -282,12 +283,16 @@ def check_product_theorem(g: Graph, m: int) -> TheoremReport:
     E(g), and edim >= max(dim, edim(g)).  The joint cover's bases have
     those sizes, so when k is the larger, edim >= k is settled; otherwise
     it takes a refutation of k - 1 landmarks on the product.  edim itself
-    is solved only for the certificate of a failure.
+    is solved only for the certificate of a failure.  A product over the
+    vertex cap or the pair-bit cap is refused by its guard before the
+    joint cover is solved.
     """
     _check_path_copies(m)
     gid = f"{_graph_id(g)} m={m}"
     if g.m < 1:
         return _na("product", gid, "needs at least one edge", edges=g.m)
+    # refuse a product too large to check before G's joint cover is solved
+    _path_product_guard(g, m)
     k, cover = min_joint_cover(g)
     product = _path_product_problem(g, m)
     witness = witness_from_joint_cover(g, m, cover)

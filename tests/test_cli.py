@@ -278,6 +278,9 @@ def test_memory_guard_refuses_before_any_distance_is_computed(monkeypatch, capsy
     # a theorem check reads the graph's distances only through its solve
     assert main(["verify", "vertex_bound", "--g", "path:2100"]) == 2
     assert "bits of pair bitsets" in capsys.readouterr().err
+    # the product check guards K_100 x P_2 before it solves K_100's joint cover
+    assert main(["verify", "product", "--g", "complete:100", "--m", "2"]) == 2
+    assert "bits of pair bitsets" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

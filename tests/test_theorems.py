@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edimlab import (
+    BadParamsError,
     DisconnectedError,
     KOutOfRangeError,
     MTooSmallError,
@@ -121,10 +122,10 @@ def test_the_families_hold_up_to_max_family_k(check, k):
 def test_max_family_k_is_the_last_k_whose_edim_instances_fit_the_pair_bit_cap():
     for build in (construct_F, construct_H):
         g = build(MAX_FAMILY_K).graph
-        resolver._check_pair_bits(g.n, g.m)
+        resolver._guard(g, g.n, g.m, "edge metric dimension")
         g = build(MAX_FAMILY_K + 1).graph
         with pytest.raises(NTooLargeError):
-            resolver._check_pair_bits(g.n, g.m)
+            resolver._guard(g, g.n, g.m, "edge metric dimension")
 
 
 @pytest.mark.parametrize("k", [0, MAX_FAMILY_K + 1, 11, 3.0])
@@ -182,6 +183,20 @@ def test_product_checker():
     )
     with pytest.raises(MTooSmallError):
         check_product_theorem(build_graph(1, []), 1)
+
+
+@pytest.mark.parametrize("g, m, error, match", [
+    # 200 landmarks x C(2 * 4950 + 100, 2) is about 1.0e10 pair bits
+    (complete(100), 2, NTooLargeError, "bits of pair bitsets"),
+    (complete(60), 100, BadParamsError, "product would have 6000 vertices"),
+], ids=["pair_bit_cap", "vertex_cap"])
+def test_the_product_check_refuses_a_product_over_a_cap_before_the_joint_cover(monkeypatch, g, m, error, match):
+    def unsolved(g):
+        raise AssertionError("solved the joint cover of a refused product")
+
+    monkeypatch.setattr(theorems, "min_joint_cover", unsolved)
+    with pytest.raises(error, match=match):
+        check_product_theorem(g, m)
 
 
 F_QP_M2_RECORD = (
