@@ -304,9 +304,32 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """parse_args, with a subcommand's positionals also accepted after its
+    options.  argparse (Python 3.11) fills an optional positional that
+    follows the first one, compute's `input` or construct's `params`, with
+    nothing when an option comes next, and leaves the later words
+    unrecognized.  When every unrecognized word is the subcommand's, its
+    words are parsed again, positionals and options intermixed; a word
+    that is still left over exits 2 with argparse's own message."""
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        argv = sys.argv[1:] if argv is None else list(argv)
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        subparser = sub.choices[args.command]
+        words = argv[argv.index(args.command) + 1:]
+        rest = extras
+        if subparser.parse_known_args(words)[1] == extras:
+            top = argparse.Namespace(threads=args.threads, command=args.command)
+            args, rest = subparser.parse_known_intermixed_args(words, top)
+        if rest:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(parser, argv)
     try:
         if args.threads is not None and args.threads < 1:
             raise BadParamsError(f"--threads must be at least 1, got {args.threads}")

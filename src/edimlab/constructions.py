@@ -26,14 +26,14 @@ i*n + u.  The objects are numbered by copy, then rungs: edge k of g in
 copy j is object j*|E| + k, and the rung (v, j)-(v, j+1) is object
 m*|E| + j*n + v.  The value and the witness do not depend on how the
 objects are numbered.  It refuses what the generic solve refuses, before
-reading any distance: a bad m, a product over the vertex cap, a
-disconnected g, and a product over the solvers' pair-bit cap.  These
-refusals are `_path_product_guard(g, m)`, which composes no levels and
-leaves the last two to `resolver._guard`; the product check asks it
-before it solves g's joint cover.  The product check reads g alone: it
-asks this instance for its bounds, on edge levels composed from the
-levels g keeps after its joint cover, so it builds no product and runs
-no BFS on one.
+reading any distance: a bad m, a product over the vertex cap, then, by
+`resolver._guard`, a disconnected g and a product over the solvers'
+pair-bit cap.  The product has n*m >= 2n landmarks and
+m*|E| + (m-1)*n > max(n, |E|) objects, so its guard refuses whatever the
+guard of g's joint cover refuses: the product check asks for this
+instance first, then solves g's joint cover.  The product check reads g
+alone: it asks this instance for its bounds, on edge levels composed from
+the levels g keeps, so it builds no product and runs no BFS on one.
 """
 
 from dataclasses import dataclass
@@ -53,7 +53,7 @@ class LabeledConstruction:
 
 def construct_F(k: int) -> LabeledConstruction:
     """Two glued cliques: B of size k and A of size 2^k indexed by subsets of B."""
-    if not isinstance(k, int) or not 1 <= k <= MAX_FK_K:
+    if type(k) is not int or not 1 <= k <= MAX_FK_K:
         raise KOutOfRangeError(f"k must be in 1..{MAX_FK_K}, got {k!r}")
     n = k + (1 << k)
     edges = []
@@ -125,19 +125,13 @@ def cartesian_path(g: Graph, m: int) -> LabeledConstruction:
     return LabeledConstruction(_graph_from_edges(total, tuple(edges)), labels)
 
 
-def _path_product_guard(g: Graph, m: int) -> int:
-    """The edge count of g x P_m, once the refusals of the generic solve
-    pass: m, the vertex cap, then resolver's guard.  Composes no levels."""
+def _path_product_problem(g: Graph, m: int) -> _Cover:
+    """The edge problem of g x P_m over its composed edge levels, once the
+    refusals of the generic solve pass: m, the vertex cap, then resolver's
+    guard (module docstring)."""
     total = _product_order(g.n, m)
     n_obj = m * g.m + (m - 1) * g.n
     _guard(g, total, n_obj, "edge metric dimension")
-    return n_obj
-
-
-def _path_product_problem(g: Graph, m: int) -> _Cover:
-    """The edge problem of g x P_m over its composed edge levels, behind
-    the product's guard (module docstring)."""
-    n_obj = _path_product_guard(g, m)
     return _Cover(_path_product_edge_levels(g, m), n_obj)
 
 
@@ -229,7 +223,7 @@ def standard_family(name: str, params) -> Graph:
     if name not in _FAMILIES:
         raise BadParamsError(f"unknown family {name!r}; choose from {sorted(_FAMILIES)}")
     mins, order, edges = _FAMILIES[name]
-    if len(params) != len(mins) or not all(isinstance(p, int) for p in params):
+    if len(params) != len(mins) or not all(type(p) is int for p in params):
         raise BadParamsError(f"family {name!r} takes {len(mins)} integer parameter(s), got {params!r}")
     if any(p < low for p, low in zip(params, mins)):
         lows = ", ".join(map(str, mins))

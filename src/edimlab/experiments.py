@@ -53,7 +53,7 @@ class SurveyRow:
 
 
 def _check_enum_n(n: int, cap: int = MAX_ENUM_N, what: str = "exhaustive enumeration") -> None:
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise BadParamsError(f"need a positive vertex count, got {n!r}")
     if n > cap:
         raise NTooLargeError(f"{what} capped at n={cap}, got {n}")

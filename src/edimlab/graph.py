@@ -111,7 +111,7 @@ def _graph_from_edges(n: int, edges: tuple[tuple[int, int], ...]) -> Graph:
 
 def build_graph(n: int, edge_pairs) -> Graph:
     """Validate and build a simple graph on vertices 0..n-1."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise BadParamsError(f"vertex count must be a positive integer, got {n!r}")
     if n > MAX_VERTICES:
         raise BadParamsError(f"vertex count {n} exceeds the cap of {MAX_VERTICES}")

@@ -51,7 +51,8 @@ reads the levels.
 One guard: `_guard(g, landmarks, objects, what)` tests that g is connected,
 then that landmarks x C(objects, 2) is within MAX_PAIR_BITS.  `_problem`,
 `min_joint_cover` (once, over the larger of its two object counts) and the
-product's guard in `constructions` ask it before anything is read.
+product's instance, `constructions._path_product_problem`, ask it before
+anything is read.
 
 Minimal separator sets: when the branch-and-bound runs, it and the scans at
 the optimum work over the distinct inclusion-minimal separator sets instead

@@ -29,7 +29,6 @@ from math import comb
 
 from .constructions import (
     _check_path_copies,
-    _path_product_guard,
     _path_product_problem,
     construct_F,
     construct_H,
@@ -215,7 +214,7 @@ def check_max_degree_lemmas(g: Graph) -> TheoremReport:
 def _certify(theorem_id: str, k: int, construct, closed_form) -> TheoremReport:
     """(dim, edim) of the family graph construct(k) against closed_form(k),
     values only; k is checked before any graph is built."""
-    if not isinstance(k, int) or not 1 <= k <= MAX_FAMILY_K:
+    if type(k) is not int or not 1 <= k <= MAX_FAMILY_K:
         raise KOutOfRangeError(f"full certification supports k in 1..{MAX_FAMILY_K}, got {k!r}")
     g = construct(k).graph
     gid = f"{theorem_id[0].upper()}_{k}"
@@ -283,18 +282,17 @@ def check_product_theorem(g: Graph, m: int) -> TheoremReport:
     E(g), and edim >= max(dim, edim(g)).  The joint cover's bases have
     those sizes, so when k is the larger, edim >= k is settled; otherwise
     it takes a refutation of k - 1 landmarks on the product.  edim itself
-    is solved only for the certificate of a failure.  A product over the
-    vertex cap or the pair-bit cap is refused by its guard before the
-    joint cover is solved.
+    is solved only for the certificate of a failure.  The product's
+    instance is asked for first, so a product over the vertex cap or the
+    pair-bit cap is refused before the joint cover is solved.
     """
     _check_path_copies(m)
     gid = f"{_graph_id(g)} m={m}"
     if g.m < 1:
         return _na("product", gid, "needs at least one edge", edges=g.m)
-    # refuse a product too large to check before G's joint cover is solved
-    _path_product_guard(g, m)
-    k, cover = min_joint_cover(g)
+    # the product's guard refuses all that the joint cover's would, so no solve is wasted
     product = _path_product_problem(g, m)
+    k, cover = min_joint_cover(g)
     witness = witness_from_joint_cover(g, m, cover)
     witness_ok = product.generates(witness)
     if witness_ok and (k == max(map(len, cover)) or not product.fits(k - 1)):

@@ -323,6 +323,40 @@ def test_the_default_format_is_accepted_with_construct(capsys):
     assert capsys.readouterr().out == "value: 1\nwitness: [0]\n"
 
 
+@pytest.mark.parametrize(
+    "argv, positionals_first",
+    [
+        ("compute dim --all-bases g.el", "compute dim g.el --all-bases"),
+        ("compute edim --format edgelist g.el", "compute edim g.el --format edgelist"),
+        ("construct F -o f.el 2", "construct F 2 -o f.el"),
+        ("construct family --format graph6 cycle 5", "construct family cycle 5 --format graph6"),
+        ("construct family cycle --format graph6 5", "construct family cycle 5 --format graph6"),
+    ],
+)
+def test_positionals_may_follow_an_option(argv, positionals_first, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.el").write_text(write_edge_list(path_graph(4)))
+    outs = []
+    for words in (positionals_first, argv):
+        assert main(words.split()) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[1] == outs[0]
+
+
+@pytest.mark.parametrize("argv", [
+    "compute dim --all-bases g.el h.el",
+    "compute dim --bogus g.el",
+    "--bogus compute dim --all-bases g.el",
+    "survey 4 -o s.csv 5",
+])
+def test_an_unrecognized_word_after_an_option_still_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_exit_code_3_on_disconnected_input(tmp_path):
     f = tmp_path / "disc.el"
     f.write_text("4 2\n0 1\n2 3\n")

@@ -14,6 +14,7 @@ from edimlab import (
     all_pairs_distances,
     build_graph,
     cartesian_path,
+    check_Fk_theorem,
     connected_classes,
     construct_F,
     construct_H,
@@ -24,6 +25,7 @@ from edimlab import (
     min_joint_cover,
     product_upper_witness,
     standard_family,
+    survey_triples,
 )
 from edimlab.constructions import (
     MAX_FK_K,
@@ -72,6 +74,18 @@ def test_construct_F_rejects_bad_k():
         construct_F(0)
     with pytest.raises(KOutOfRangeError):
         construct_F(MAX_FK_K + 1)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: build_graph(True, []), BadParamsError),
+    (lambda: construct_F(True), KOutOfRangeError),
+    (lambda: standard_family("path", [True]), BadParamsError),
+    (lambda: survey_triples(True), BadParamsError),
+    (lambda: check_Fk_theorem(True), KOutOfRangeError),
+], ids=["build_graph", "construct_F", "standard_family", "survey_triples", "check_Fk_theorem"])
+def test_a_bool_is_not_an_integer_parameter(call, error):
+    with pytest.raises(error, match="True"):
+        call()
 
 
 def test_construct_H_adds_universal_vertex():

@@ -454,11 +454,22 @@ def test_larger_random_graphs(n, p, value, witness):
     assert (res.value, res.witness) == (value, witness)
 
 
+def _inclusion_minimal(sets):
+    """The distinct sets that contain no other: a landmark set hits every one
+    of `sets` exactly when it hits every inclusion-minimal one."""
+    kept = []
+    for s in sorted(set(sets), key=len):
+        if not any(k <= s for k in kept):
+            kept.append(s)
+    return kept
+
+
 def _milp_value(n, separators):
-    """Smallest landmark set hitting every separator set, by integer programming."""
+    """Smallest landmark set hitting every separator set, by integer
+    programming, with one row per inclusion-minimal separator set."""
     np = pytest.importorskip("numpy")
     opt = pytest.importorskip("scipy.optimize")
-    rows = np.array([[1.0 if v in sep else 0.0 for v in range(n)] for sep in separators])
+    rows = np.array([[1.0 if v in sep else 0.0 for v in range(n)] for sep in _inclusion_minimal(separators)])
     res = opt.milp(
         c=np.ones(n),
         constraints=opt.LinearConstraint(rows, lb=1, ub=np.inf),

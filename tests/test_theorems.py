@@ -199,6 +199,24 @@ def test_the_product_check_refuses_a_product_over_a_cap_before_the_joint_cover(m
         check_product_theorem(g, m)
 
 
+def test_the_products_guard_refuses_whatever_the_joint_covers_guard_refuses(monkeypatch):
+    # n*m >= 2n landmarks and m|E| + (m-1)n > max(n, |E|) objects: with the
+    # cap one bit below g's joint-cover need, the product is refused first
+    def unsolved(g):
+        raise AssertionError("solved the joint cover of a refused product")
+
+    monkeypatch.setattr(theorems, "min_joint_cover", unsolved)
+    for n in range(2, 6):
+        for mask, _ in connected_classes(n):
+            g = _graph_of_mask(n, mask)
+            monkeypatch.setattr(resolver, "MAX_PAIR_BITS", n * comb(max(n, g.m), 2) - 1)
+            with pytest.raises(NTooLargeError):
+                resolver.min_joint_cover(g)
+            for m in (2, 3):
+                with pytest.raises(NTooLargeError):
+                    check_product_theorem(g, m)
+
+
 F_QP_M2_RECORD = (
     'product\tF~qP_ m=2\tfails\t{"edim_of_product": 4, "joint_k": 5, "m": 2, '
     '"witness": [1, 2, 4, 5, 6, 8], "witness_generates": true}'
