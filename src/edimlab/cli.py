@@ -99,8 +99,17 @@ def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _write_out(path, chunks) -> None:
+    """Write an output file; a path that cannot be written is a bad parameter."""
+    try:
+        with Path(path).open("w") as f:
+            f.writelines(chunks)
+    except OSError as exc:
+        raise BadParamsError(f"cannot write output file {str(path)!r}: {exc.strerror}") from exc
+
+
 def _write_json(path, doc) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_out(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n",))
 
 
 def _write_manifest(out_path: Path, command: list[str], outputs: list[Path]) -> None:
@@ -162,8 +171,7 @@ def cmd_construct(args) -> int:
     chunks = (write_graph6(g) + "\n",) if args.format == "graph6" else edge_list_chunks(g)
     if args.out:
         out = Path(args.out)
-        with out.open("w") as f:
-            f.writelines(chunks)
+        _write_out(out, chunks)
         labels = (
             obj.labels
             if isinstance(obj, LabeledConstruction)
@@ -250,7 +258,7 @@ def cmd_survey(args) -> int:
     text = "\n".join(out_lines) + "\n"
     if args.out:
         out = Path(args.out)
-        out.write_text(text)
+        _write_out(out, (text,))
         _write_manifest(out.with_name(out.name + ".manifest.json"), ["survey", str(args.n)], [out])
         sys.stdout.write(f"wrote {out} ({len(rows)} rows)\n")
     else:
@@ -259,11 +267,12 @@ def cmd_survey(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    threads = {"type": int, "help": "worker processes for sweeps and survey (default 1)"}
     p = argparse.ArgumentParser(
         prog="edimlab",
         description="Exact metric and edge metric dimension of small graphs.",
     )
-    p.add_argument("--threads", type=int, help="worker processes for sweeps and survey (default 1)")
+    p.add_argument("--threads", **threads)
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("compute", help="solve dim, edim, or the joint cover number")
@@ -301,6 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("n", type=int)
     s.add_argument("-o", "--out", help="CSV output path; stdout when omitted")
     s.set_defaults(fn=cmd_survey)
+    # --threads may also follow the subcommand; with no default there, a
+    # subcommand not given it keeps the top level's value
+    for subparser in sub.choices.values():
+        subparser.add_argument("--threads", default=argparse.SUPPRESS, **threads)
     return p
 
 

@@ -25,28 +25,27 @@ landmark levels.
 Search order contract: the reported witness is the lexicographically least
 basis of minimum size, i.e. the first generator met when scanning subset
 sizes ascending and combinations lexicographically within each size.  The
-implementation reaches the same answer faster.  A greedy cover gives an
-upper bound.  The optimum value then comes from a depth-first
-branch-and-bound over the pairs' separator sets when refuting one size
-below the greedy bound could scan many landmark subsets, and otherwise from
-lexicographic scans that refute sizes downward (generator existence is
-monotone in size).  All scans are one generator, which yields the covers
-of one size in lexicographic order: its first item at the optimum is the
-witness and all its items are the bases, so the answers do not depend on
-which search found the value.  Suffix unions of the bitsets prune scan
-subtrees that cannot cover the remaining pairs.
+implementation reaches the same answer faster, by one descent from an
+upper bound, `_Cover._least(upper, floor)`, whose gate picks the engine
+once: a depth-first branch-and-bound over the pairs' separator sets when
+refuting upper - 1 could scan many landmark subsets, and otherwise
+lexicographic scans that refute sizes upper - 1, upper - 2, ... down to
+floor (generator existence is monotone in size).  `value` and `solve`
+start it from a greedy cover's size, `fits(s)` from s + 1 with floor s.
+All scans are one generator, which yields the covers of one size in
+lexicographic order: its first item at the optimum is the witness and all
+its items are the bases, so the answers do not depend on which engine
+found the value.  Suffix unions of the bitsets prune scan subtrees that
+cannot cover the remaining pairs.
 
 One instance per problem: `_Cover(levels, objects)` holds the pair
-bitsets of one vertex or edge problem.  `solve` gives the value, the
-witness and, on request, the bases; `value` scans for no witness.
-`fits(s)` answers "do at most s landmarks cover every pair?" with one
-refutation, picked by the same gate: a lexicographic scan for a cover of
-exactly s landmarks, or the branch-and-bound over the minimal separator
-sets bounded by s + 1.  So a check that needs only bounds on the optimum
-pays for refutations, not a full solve.  The gate is one method, and the
-minimal separator sets are found at most once per instance.  `_problem`
-is the one way from a graph to its instance: it asks the guard, then
-reads the levels.
+bitsets of one vertex or edge problem and finds its minimal separator
+sets at most once.  `solve` gives the value, the witness and, on request,
+the bases; `value` scans for no witness; `fits(s)` answers "do at most s
+landmarks cover every pair?", so a check that needs only bounds on the
+optimum pays for refutations, not a full solve.  `_problem` is the one
+way from a graph to its instance: it asks the guard, then reads the
+levels.
 
 One guard: `_guard(g, landmarks, objects, what)` tests that g is connected,
 then that landmarks x C(objects, 2) is within MAX_PAIR_BITS.  `_problem`,
@@ -54,19 +53,20 @@ then that landmarks x C(objects, 2) is within MAX_PAIR_BITS.  `_problem`,
 product's instance, `constructions._path_product_problem`, ask it before
 anything is read.
 
-Minimal separator sets: when the branch-and-bound runs, it and the scans at
-the optimum work over the distinct inclusion-minimal separator sets instead
-of over all pairs (a dense 22-vertex edim solve has about 6400 pairs but
-about 420 such sets).  The answers cannot change: S covers every pair iff S
-meets every pair's separator set, iff S meets every inclusion-minimal one,
-since each separator set contains a minimal one.  So the covers of each
-size are the same family, listed by the same generator in the same order,
-and the value, the witness and the bases are those of the full instance.
-For the same reason a greedy cover of the minimal sets covers every pair,
-so the branch-and-bound starts from the lesser of the two greedy bounds.
-It decides its last level inline: a child that could beat the best size
-found only by one more landmark gets no node of its own, just a test of
-the landmarks that separate one of its uncovered pairs.
+Minimal separator sets: the branch-and-bound, and every scan of an
+instance that has found them, work over the distinct inclusion-minimal
+separator sets instead of over all pairs (a dense 22-vertex edim solve has
+about 6400 pairs but about 420 such sets).  The answers cannot change: S
+covers every pair iff S meets every pair's separator set, iff S meets
+every inclusion-minimal one, since each separator set contains a minimal
+one.  So the covers of each size are the same family, listed by the same
+generator in the same order, and the value, the witness and the bases are
+those of the full instance.  For the same reason a greedy cover of the
+minimal sets covers every pair, so the branch-and-bound starts from the
+lesser of its upper bound and that cover's size.  It decides its last
+level inline: a child that could beat the best size found only by one
+more landmark gets no node of its own, just a test of the landmarks that
+separate one of its uncovered pairs.
 
 A solve whose landmarks x C(objects, 2) exceeds MAX_PAIR_BITS raises
 NTooLargeError from `_guard` before it computes anything; the bitsets
@@ -192,6 +192,8 @@ def _greedy_cover_size(bits: list[int], universe: int) -> int:
             count = grown.bit_count()
             if count > most:
                 best, most = grown, count
+        if best == cover:
+            raise AssertionError("landmark bitsets cannot cover the pair universe")
         cover = best
         size += 1
     return size
@@ -296,8 +298,8 @@ def _minimal_separators(bits: list[int], universe: int, rows, n_obj: int) -> tup
 
 def _branch_and_bound_size(bits: list[int], universe: int, seps: list[int], upper: int) -> int:
     """min(upper, fewest landmarks whose bitsets cover `universe`), for any
-    upper >= 1: `upper` need not be the size of a cover (`_Cover.fits`
-    passes size + 1), and only covers smaller than it are searched for.
+    upper >= 1: `upper` need not be the size of a cover (`_Cover.fits(s)`
+    descends from s + 1), and only covers smaller than it are searched for.
 
     seps[p] is the mask of the landmarks whose bitsets hold pair p.
     Depth-first over uncovered pairs: each node branches on a pair with the
@@ -431,51 +433,49 @@ class _Cover:
             self.minimal = kept, reduced, (1 << len(kept)) - 1
         return self.minimal
 
-    def fits(self, size: int) -> bool:
-        """True when at most `size` landmarks cover every pair, that is when
-        value() <= size: a lexicographic scan for a cover of exactly `size`
-        landmarks, or the branch-and-bound bounded by size + 1."""
-        bits, universe = self.bits, self.universe
-        if size < 1 or universe == 0:
-            return size >= 0 and universe == 0
-        size = min(size, len(bits))
-        if not self._gated(size):
-            return next(_covers(bits, _suffix_unions(bits), universe, size), None) is not None
-        kept, reduced, sets = self._reduced()
-        return _branch_and_bound_size(reduced, sets, kept, size + 1) <= size
+    def _scan(self) -> tuple[list[int], list[int], int]:
+        """(bitsets, suffix unions, universe) for the lexicographic scans, over
+        the minimal separator sets once found: the same covers, in the same order."""
+        bits, universe = self.minimal[1:] if self.minimal else (self.bits, self.universe)
+        return bits, _suffix_unions(bits), universe
 
-    def _optimum(self):
-        """(optimum, a witness met on the way or None, and the bitsets,
-        suffix unions and universe whose covers of each size are the bases)."""
-        bits, universe = self.bits, self.universe
-        suffix = _suffix_unions(bits)
-        if suffix[0] != universe:
-            raise AssertionError("landmark bitsets cannot cover the pair universe")
-        opt = _greedy_cover_size(bits, universe)
-        if self._gated(opt - 1):
-            # the same covers, over the minimal separator sets instead of all pairs
+    def _least(self, upper: int, floor: int) -> tuple[int, tuple[int, ...] | None]:
+        """The one descent, and the only caller of `_gated`: (v, a cover of v
+        landmarks met on the way, or None), for upper >= 1, with
+        v = min(upper, value()) when value() >= floor; when value() < floor it
+        may stop at any v from min(upper, value()) to min(upper, floor).
+        Gated at upper - 1, the branch-and-bound over the minimal separator
+        sets gives v, with no witness; otherwise scans refute upper - 1,
+        upper - 2, ... down to floor (generator existence is monotone in size)."""
+        if self._gated(upper - 1):
             kept, bits, universe = self._reduced()
             # a greedy cover of the minimal sets covers every pair; it is the
             # smaller one in 43 of the 191 gated hard_gnp seed-0 solves
-            opt = _branch_and_bound_size(bits, universe, kept, min(opt, _greedy_cover_size(bits, universe)))
-            return opt, None, bits, _suffix_unions(bits), universe
-        # generator existence is monotone in size: refute sizes downward
+            return _branch_and_bound_size(bits, universe, kept, min(upper, _greedy_cover_size(bits, universe))), None
+        scan = self._scan()
         witness = None
-        while opt > 1 and (found := next(_covers(bits, suffix, universe, opt - 1), None)):
-            witness, opt = found, opt - 1
-        return opt, witness, bits, suffix, universe
+        while upper > floor and (found := next(_covers(*scan, upper - 1), None)):
+            witness, upper = found, upper - 1
+        return upper, witness
+
+    def fits(self, size: int) -> bool:
+        """True when at most `size` landmarks cover every pair, that is when
+        value() <= size: the descent from size + 1 that stops at size."""
+        if size < 1 or self.universe == 0:
+            return size >= 0 and self.universe == 0
+        return self._least(min(size, len(self.bits)) + 1, size)[0] <= size
 
     def value(self) -> int:
         """The fewest landmarks that cover every pair, with no witness scan."""
-        return self._optimum()[0] if self.universe else 0
+        return self._least(_greedy_cover_size(self.bits, self.universe), 1)[0] if self.universe else 0
 
     def solve(self, want_all: bool) -> DimensionResult:
         """The optimum, its lex-least witness, and every basis if `want_all`."""
         if self.universe == 0:
             # no pair to separate (one vertex, or at most one edge): the empty set
             return DimensionResult(0, (), ((),) if want_all else None)
-        opt, witness, bits, suffix, universe = self._optimum()
-        covers = _covers(bits, suffix, universe, opt)
+        opt, witness = self._least(_greedy_cover_size(self.bits, self.universe), 1)
+        covers = _covers(*self._scan(), opt)
         if want_all:
             all_bases = tuple(covers)
             return DimensionResult(opt, all_bases[0], all_bases)

@@ -86,6 +86,18 @@ def test_exit_code_2_on_unreadable_input(tmp_path, argv):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "F", "2", "-o", "{out}"),
+    ("survey", "3", "-o", "{out}"),
+    ("verify", "ncondition", "--sweep", "3", "--report", "{out}"),
+])
+@pytest.mark.parametrize("out", ["{tmp}/missing/out", "{tmp}"])  # no such directory, a directory
+def test_exit_code_2_on_unwritable_output(tmp_path, capsys, argv, out):
+    out = out.format(tmp=tmp_path)
+    assert main([a.format(out=out) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write output file {out!r}")
+
+
 def test_graph_spec_names_a_file_with_a_colon(tmp_path):
     (tmp_path / "g:1.txt").write_text(write_edge_list(path_graph(3)))
     proc = run_cli("verify", "product", "--g", "g:1.txt", "--m", "3", cwd=tmp_path)
@@ -310,12 +322,26 @@ def test_memory_guard_refuses_before_any_distance_is_computed(monkeypatch, capsy
         (("--threads", "2", "verify", "product", "--g", "path:3", "--m", "2"), "--threads"),
         (("--threads", "2", "verify", "fk", "--kmax", "2"), "--threads"),
         (("--threads", "1", "verify", "hk", "--kmax", "1"), "--threads"),
+        # and refused the same after the subcommand
+        (("compute", "dim", "--construct", "path", "3", "--threads", "2"), "--threads"),
+        (("construct", "F", "2", "--threads", "2"), "--threads"),
+        (("verify", "ncondition", "--g", "path:5", "--threads", "2"), "--threads"),
+        (("verify", "fk", "--threads", "1", "--kmax", "2"), "--threads"),
     ],
 )
 def test_options_a_subcommand_does_not_read_exit_2(argv, option, capsys):
     assert main(list(argv)) == 2
     out, err = capsys.readouterr()
     assert out == "" and option in err
+
+
+@pytest.mark.parametrize("argv", [("survey", "4"), ("verify", "ncondition", "--sweep", "4")])
+def test_threads_may_follow_the_subcommand(argv, capsys):
+    outs = []
+    for words in (("--threads", "2", *argv), (*argv, "--threads", "2")):
+        assert main(list(words)) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[1] == outs[0]
 
 
 def test_the_default_format_is_accepted_with_construct(capsys):

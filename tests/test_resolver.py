@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -334,6 +335,38 @@ def test_an_instance_finds_its_minimal_separator_sets_once(monkeypatch):
         assert answers == [res.value <= size for size in range(1, g.n + 1)]
     # one call per instance: the vertex problem's, then the edge problem's
     assert calls == [g.n, g.m]
+
+
+def test_a_gated_fits_leaves_the_solve_answers_unchanged(monkeypatch):
+    # the gate sits at C(landmarks, size): fits(size) takes the branch-and-bound
+    # and finds the minimal separator sets, the solve's descent from the greedy
+    # bound stays on the scans, and then scans those minimal sets
+    rng = random.Random(27)
+    checked = 0
+    for _ in range(8):
+        g = _gnp_connected(rng, rng.randint(8, 10), 0.5)
+        for levels, n_obj in _object_levels(g).values():
+            cover = resolver._Cover(levels, n_obj)
+            n = len(cover.bits)
+            size = n // 2
+            gate = comb(n, size)
+            if comb(n, resolver._greedy_cover_size(cover.bits, cover.universe) - 1) >= gate:
+                continue
+            monkeypatch.setattr(resolver, "BRANCH_AND_BOUND_MIN_SUBSETS", gate)
+            fresh = resolver._Cover(levels, n_obj)
+            want = fresh.solve(True)
+            assert fresh.minimal is None  # the fresh solve scanned all pairs
+            assert cover.fits(size) == (want.value <= size) and cover.minimal is not None
+            assert cover.solve(True) == want, (g.edges, n_obj)
+            checked += 1
+    assert checked >= 8
+
+
+def test_bitsets_that_cannot_cover_the_universe_raise():
+    # objects 0 and 1 share a level at both landmarks: no landmark separates them
+    cover = resolver._Cover([[0b011, 0b100], [0b111]], 3)
+    with pytest.raises(AssertionError, match="cannot cover the pair universe"):
+        cover.value()
 
 
 def _separator_sets(g):
