@@ -27,12 +27,16 @@ from the greedy bound _Cover.value starts it from and from the optimum
 resolver._covers yields at the optimum.  It exits 1 if a branch-and-bound
 value is not _Cover.value's.  The graphs' distances, and the factor's
 edge levels, are computed before any timing.  For each N of --census
-(default 6) it times class generation: experiments._class_levels(N),
-experiments.canonical_mask over every child that run names, and
-experiments._orbit_minima over every parent it lists the automorphisms
-of; their objects are the classes on N vertices, the children and the
-parents.  Prints one tab-separated line per input, problem and kernel:
-input, problem, objects, kernel, best seconds.  Each K must be 1 to
+(default 6) it times class generation in both modes:
+experiments._class_levels(N), which names every class by canonical_mask,
+and _class_levels(N, canonical=False), the theorem sweeps' mode, which
+calls it only for children whose new vertex ties a non-cut vertex in
+rank; and in each mode experiments.canonical_mask over every child that
+run names and experiments._orbit_minima over every parent it lists the
+automorphisms of.  Their objects are the classes on N vertices, the children (so the
+canonical_mask lines give each mode's call count) and the parents.
+Prints one tab-separated line per input, problem and kernel: input,
+problem, objects, kernel, best seconds.  Each K must be 1 to
 theorems.MAX_FAMILY_K (6), the F_K whose edim fits the solvers' pair-bit
 cap, and each N must be a census size, 1 to 7; any other K or N exits 2
 before anything is built or timed.  Needs only the standard library and
@@ -138,9 +142,9 @@ def gated_search(repeat: int, name: str, problem: str, cover) -> None:
     print(f"{name}\t{problem}\t{cover.n_obj}\twitness scan\t{secs:.6g}", flush=True)
 
 
-def census_calls(n: int) -> dict[str, list[tuple]]:
+def census_calls(n: int, canonical: bool) -> dict[str, list[tuple]]:
     """The arguments of every canonical_mask and _orbit_minima call that
-    one run of _class_levels(n) makes."""
+    one run of _class_levels(n, canonical) makes."""
     calls: dict[str, list[tuple]] = {"canonical_mask": [], "_orbit_minima": []}
     real = {name: getattr(experiments, name) for name in calls}
 
@@ -153,7 +157,7 @@ def census_calls(n: int) -> dict[str, list[tuple]]:
     for name in calls:
         setattr(experiments, name, recorder(name))
     try:
-        for _ in experiments._class_levels(n):
+        for _ in experiments._class_levels(n, canonical):
             pass
     finally:
         for name, fn in real.items():
@@ -162,14 +166,16 @@ def census_calls(n: int) -> dict[str, list[tuple]]:
 
 
 def census(repeat: int, n: int) -> None:
-    """Time class generation up to n vertices and its two kernels."""
+    """Time class generation up to n vertices and its two kernels, in both modes."""
     name = f"census{n}"
-    secs, levels = best_of(repeat, lambda: list(experiments._class_levels(n)))
-    print(f"{name}\tgeneration\t{len(levels[-1][1])}\t_class_levels\t{secs:.6g}", flush=True)
-    for kernel, args in census_calls(n).items():
-        fn = getattr(experiments, kernel)
-        secs, _ = best_of(repeat, lambda: [fn(*a) for a in args])
-        print(f"{name}\tgeneration\t{len(args)}\t{kernel}\t{secs:.6g}", flush=True)
+    for canonical in (True, False):
+        mode = "" if canonical else "(canonical=False)"
+        secs, levels = best_of(repeat, lambda: list(experiments._class_levels(n, canonical)))
+        print(f"{name}\tgeneration\t{len(levels[-1][1])}\t_class_levels{mode}\t{secs:.6g}", flush=True)
+        for kernel, args in census_calls(n, canonical).items():
+            fn = getattr(experiments, kernel)
+            secs, _ = best_of(repeat, lambda: [fn(*a) for a in args])
+            print(f"{name}\tgeneration\t{len(args)}\t{kernel}{mode}\t{secs:.6g}", flush=True)
 
 
 def main() -> None:

@@ -7,8 +7,10 @@ so identical invocations produce identical bytes regardless of --threads.
 """
 
 import argparse
+import errno
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -108,6 +110,26 @@ def _write_out(path, chunks) -> None:
         raise BadParamsError(f"cannot write output file {str(path)!r}: {exc.strerror}") from exc
 
 
+def _check_writable(*paths) -> None:
+    """Refuse output paths that `_write_out` could not write, before any work.
+
+    It creates and truncates nothing: it asks the file system about an
+    existing path, or about the directory a new file would go in.
+    """
+    for path in paths:
+        p = Path(path)
+        if p.is_dir():
+            code = errno.EISDIR
+        elif p.exists():
+            code = 0 if os.access(p, os.W_OK) else errno.EACCES
+        elif not p.parent.is_dir():
+            code = errno.ENOTDIR if p.parent.exists() else errno.ENOENT
+        else:
+            code = 0 if os.access(p.parent, os.W_OK | os.X_OK) else errno.EACCES
+        if code:
+            raise BadParamsError(f"cannot write output file {str(path)!r}: {os.strerror(code)}")
+
+
 def _write_json(path, doc) -> None:
     _write_out(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n",))
 
@@ -153,6 +175,10 @@ def cmd_construct(args) -> int:
     _refuse_unread(args, f"construct {args.what}", unread)
     if reads and args.params:
         raise BadParamsError(f"construct {args.what} takes no positional parameters, got {args.params}")
+    if args.out:
+        out = Path(args.out)
+        sidecar = out.with_name(out.name + ".labels.json")
+        _check_writable(out, sidecar)
     if args.what == "prod":
         if not args.g or args.m is None:
             raise BadParamsError("prod needs --g SPEC and --m M")
@@ -170,14 +196,12 @@ def cmd_construct(args) -> int:
     g = _graph_of(obj)
     chunks = (write_graph6(g) + "\n",) if args.format == "graph6" else edge_list_chunks(g)
     if args.out:
-        out = Path(args.out)
         _write_out(out, chunks)
         labels = (
             obj.labels
             if isinstance(obj, LabeledConstruction)
             else tuple(str(v) for v in range(g.n))
         )
-        sidecar = out.with_name(out.name + ".labels.json")
         _write_json(sidecar, {str(i): lab for i, lab in enumerate(labels)})
         sys.stdout.write(f"wrote {out} (n={g.n}, m={g.m}) and {sidecar}\n")
     else:
@@ -210,6 +234,8 @@ def cmd_verify(args) -> int:
     given = [f"--{a}" for a in ("graph", "g", "sweep", "kmax") if getattr(args, a) is not None]
     if len(given) > 1:
         raise BadParamsError(f"{given[0]} and {given[1]} are two inputs to check; give one")
+    if args.report:
+        _check_writable(args.report)
     if theorem in ("fk", "hk"):
         if args.kmax is None or not 1 <= args.kmax <= MAX_FAMILY_K:
             raise BadParamsError(f"{theorem} needs --kmax from 1 to {MAX_FAMILY_K}")
@@ -250,6 +276,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_survey(args) -> int:
+    if args.out:
+        out = Path(args.out)
+        manifest = out.with_name(out.name + ".manifest.json")
+        _check_writable(out, manifest)
     rows = survey_triples(args.n, threads=args.threads or 1)
     out_lines = ["n,dim,edim,count,example_graph6"]
     out_lines.extend(
@@ -257,9 +287,8 @@ def cmd_survey(args) -> int:
     )
     text = "\n".join(out_lines) + "\n"
     if args.out:
-        out = Path(args.out)
         _write_out(out, (text,))
-        _write_manifest(out.with_name(out.name + ".manifest.json"), ["survey", str(args.n)], [out])
+        _write_manifest(manifest, ["survey", str(args.n)], [out])
         sys.stdout.write(f"wrote {out} ({len(rows)} rows)\n")
     else:
         sys.stdout.write(text)

@@ -10,7 +10,13 @@ on n vertices are grown from those on n - 1 by adding a vertex, and
 `canonical_mask` runs on about one child per class: the new vertex's
 neighbourhood must be least under the parent's automorphisms, and no
 vertex whose removal leaves the child connected may outrank the new one
-(`_class_levels` gives the rules and why no class is lost).
+(`_class_levels` gives the rules and why no class is lost).  When no such
+vertex ties the new one either, the new vertex is the class's unique top,
+so the class is generated exactly once and every automorphism fixes the
+new vertex; its weight then follows by orbit-stabilizer from the parent's,
+with no canonical labelling.  Theorem sweeps, which name no class, take
+their classes that way (about a third of the `canonical_mask` calls up to
+n = 8).
 
 Surveys, ratio sweeps and theorem sweeps all run through `class_sweep`,
 which holds the census cap and fans each level out over `--threads`
@@ -25,7 +31,7 @@ order-independent, so multi-process runs merge to identical output.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import permutations, repeat
 from math import factorial
 from operator import or_
 
@@ -170,8 +176,9 @@ def _automorphisms(adj) -> list[tuple[int, ...]]:
     return found
 
 
-def _orbit_minima(adj) -> list[int]:
-    """The non-empty vertex sets, as masks, that are least among their images under Aut."""
+def _orbit_minima(adj) -> list[tuple[int, int]]:
+    """(s, orbit size) for each non-empty vertex set s, as a mask, that is
+    least among its images under Aut."""
     n = len(adj)
     perms = _automorphisms(adj)
     bit_images = [[1 << p[v] for p in perms] for v in range(n)]
@@ -179,12 +186,13 @@ def _orbit_minima(adj) -> list[int]:
     least = []
     for s in range(1, 1 << n):
         if s not in seen:
-            least.append(s)
             images = [0] * len(perms)
             for v in range(n):
                 if s >> v & 1:
                     images = list(map(or_, images, bit_images[v]))
+            size = len(seen)
             seen.update(images)
+            least.append((s, len(seen) - size))  # orbits are disjoint
     return least
 
 
@@ -212,72 +220,106 @@ def _rank(adj, deg, v: int) -> tuple:
     return deg[v], sorted(deg[x] for x in nbrs), sum((adj[x] & adj[v]).bit_count() for x in nbrs)
 
 
-def _outranked(child, pieces) -> bool:
-    """Whether a vertex u of the parent outranks the child's new (last)
-    vertex and removing u leaves the child connected.
+def _rival(child, pieces) -> int:
+    """How the child's new (last) vertex w stands against the parent's
+    vertices u whose removal leaves the child connected (non-cut u): 1 if
+    one outranks w by `_rank`, else 0 if one ties it, else -1.
 
     pieces[u] are the components of the parent minus u; the child minus u
-    is connected exactly when the new vertex has a neighbour in each.
+    is connected exactly when w has a neighbour in each.
     """
     w = len(child) - 1
     deg = [a.bit_count() for a in child]
     top = None
+    tied = False
     for u in range(w):
         if deg[u] < deg[w]:
             continue
-        if deg[u] == deg[w]:
+        above = deg[u] > deg[w]
+        if not above:
             if top is None:
                 top = _rank(child, deg, w)
-            if _rank(child, deg, u) <= top:
+            rank = _rank(child, deg, u)
+            if rank < top or tied and rank == top:
                 continue
+            above = rank > top
         if all(child[w] & piece for piece in pieces[u]):
-            return True
-    return False
+            if above:
+                return 1
+            tied = True
+    return 0 if tied else -1
 
 
-def _class_levels(n_max: int):
-    """Yield (n, classes) for n = 1..n_max, as `connected_classes` gives them.
+def _mask_of(adj) -> int:
+    """The adjacency mask of the graph with these adjacency bitmasks."""
+    n = len(adj)
+    mask = 0
+    for i, a in enumerate(adj):
+        mask |= a >> (i + 1) << (i * (2 * n - i - 1) // 2)
+    return mask
+
+
+def _class_levels(n_max: int, canonical: bool = True):
+    """Yield (n, classes) for n = 1..n_max: (mask, n!/|Aut|) per class, by mask.
 
     Each class on n >= 2 vertices is built from a class on n-1 vertices,
-    the parent, by adding a new vertex with a non-empty neighbourhood, and
-    `canonical_mask` names the child's class and counts its automorphisms.
-    Two exact rules skip most children before that call.  Orbit rule: the
-    neighbourhood must be the least of its images under Aut(parent).  A
-    parent of weight (n-1)! has only the identity automorphism, so every
-    non-empty neighbourhood is least and Aut is not listed for it.
-    Deletion rule, after McKay's canonical deletion ("Isomorph-free
-    exhaustive generation", J. Algorithms 1998): no vertex whose removal
-    leaves the child connected (a non-cut vertex) may outrank the new one
-    by `_rank`, an isomorphism invariant.
+    the parent, by adding a new vertex w with a non-empty neighbourhood.
+    Two exact rules skip most children.  Orbit rule: the neighbourhood
+    must be the least of its images under Aut(parent).  A parent of weight
+    (n-1)! has only the identity automorphism, so every non-empty
+    neighbourhood is least and Aut is not listed for it.  Deletion rule,
+    after McKay's canonical deletion ("Isomorph-free exhaustive
+    generation", J. Algorithms 1998): no vertex whose removal leaves the
+    child connected (a non-cut vertex) may outrank w by `_rank`, an
+    isomorphism invariant.
 
     Every class G keeps a child.  G is connected and has at least two
     vertices, so it has non-cut vertices; let v be one of highest rank
     among them.  G - v is connected, so an isomorphism maps it to a parent
     P and v's neighbourhood to a non-empty set S' of P's vertices.  Some
     automorphism of P maps S' to the least of its images S, and P plus a
-    vertex joined to S is isomorphic to G with the new vertex as the image
-    of v.  Isomorphisms keep ranks and non-cut vertices, so no non-cut
-    vertex outranks the new one and the child is kept.  Every kept child
-    is connected, so the levels hold exactly the classes.  Ties in rank
-    can keep more than one child of a class; they are merged by mask.
+    vertex joined to S is isomorphic to G with w as the image of v.
+    Isomorphisms keep ranks and non-cut vertices, so no non-cut vertex
+    outranks w and the child is kept.  Every kept child is connected, so
+    the levels hold exactly the classes.
+
+    With canonical=True every kept child goes to `canonical_mask`, which
+    names its class by the lowest mask and counts its automorphisms; ties
+    in rank can keep more than one child of a class, and they merge by
+    mask.  That is the level `connected_classes` returns.  With
+    canonical=False, a kept child in which no non-cut vertex ties w skips
+    that call.  Then w is G's only top-ranked non-cut vertex, so the
+    argument above must take v = w and the one parent P of G - v's class,
+    and S is the least set of its orbit: the class is generated exactly
+    once, and is keyed by the child's own mask.  Every automorphism of the
+    child keeps rank and non-cut vertices, so it fixes w; Aut(child) is
+    therefore the stabilizer of S in Aut(P), and by orbit-stabilizer the
+    weight is n!|orbit(S)|/|Aut(P)| = n weight(P) |orbit(S)|.  A class
+    with a tied top is reached only through tied children, which keep the
+    call.  The levels hold the same classes with the same weights, some
+    named by other masks.
     """
     level = [(0, 1)]
     yield 1, level
     for n in range(2, n_max + 1):
-        auts: dict[int, int] = {}
+        weights: dict[int, int] = {}
         new = 1 << (n - 1)
         rigid = factorial(n - 1)
+        total = factorial(n)
         for parent, weight in level:
             adj = _graph_of_mask(n - 1, parent).adj_bits
             pieces = [_pieces_without(adj, u) for u in range(n - 1)]
-            for nbrs in range(1, new) if weight == rigid else _orbit_minima(adj):
+            minima = zip(range(1, new), repeat(1)) if weight == rigid else _orbit_minima(adj)
+            for nbrs, orbit in minima:
                 child = [a | new if nbrs >> v & 1 else a for v, a in enumerate(adj)]
                 child.append(nbrs)
-                if not _outranked(child, pieces):
+                rival = _rival(child, pieces)
+                if rival < 0 and not canonical:
+                    weights[_mask_of(child)] = n * weight * orbit
+                elif rival <= 0:
                     mask, aut = canonical_mask(n, child)
-                    auts[mask] = aut
-        total = factorial(n)
-        level = [(mask, total // auts[mask]) for mask in sorted(auts)]
+                    weights[mask] = total // aut
+        level = sorted(weights.items())
         yield n, level
 
 
@@ -316,17 +358,18 @@ def _survey_block(job) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def class_sweep(block_fn, n_lo: int, n_max: int, threads: int, *args):
+def class_sweep(block_fn, n_lo: int, n_max: int, threads: int, *args, canonical: bool = True):
     """Yield (n, block results) for n = n_lo..n_max.
 
     Each level's classes are split into contiguous blocks, and
     block_fn((n, block, *args)) runs on every block, in-process or on up
-    to `threads` workers; the results come back in block order.
+    to `threads` workers; the results come back in block order.  The
+    classes are `_class_levels(n_max, canonical)`'s.
     """
     _check_enum_n(n_max, CENSUS_MAX_N, "census")
     if n_lo > n_max:
         raise BadParamsError(f"nothing to sweep below n={n_lo}, got n_max={n_max}")
-    for n, classes in _class_levels(n_max):
+    for n, classes in _class_levels(n_max, canonical):
         if n >= n_lo:
             jobs = [(n, block, *args) for block in item_blocks(classes, threads)]
             yield n, run_blocks(block_fn, jobs, threads)

@@ -98,6 +98,63 @@ def test_exit_code_2_on_unwritable_output(tmp_path, capsys, argv, out):
     assert capsys.readouterr().err.startswith(f"error: cannot write output file {out!r}")
 
 
+# commands that write a file, each with the sidecar file it writes too
+_WRITERS = [
+    (("construct", "F", "2", "-o"), ".labels.json"),
+    (("construct", "prod", "--g", "path:3", "--m", "2", "-o"), ".labels.json"),
+    (("survey", "3", "-o"), ".manifest.json"),
+    (("verify", "ncondition", "--sweep", "3", "--report"), None),
+    (("verify", "ncondition", "--g", "path:3", "--report"), None),
+    (("verify", "fk", "--kmax", "1", "--report"), None),
+]
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (argv, refused)
+    for argv, sidecar in _WRITERS
+    for refused in ("missing/out.txt", ".", *([f"out.txt{sidecar}"] if sidecar else []))
+])
+def test_an_unwritable_output_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, refused):
+    from edimlab import cli
+
+    called = []
+
+    def spy(name):
+        def record(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(f"{name} ran before the output path was checked")
+        return record
+
+    for name in ("sweep_theorem", "survey_triples", "construct_F", "standard_family",
+                 "cartesian_path", "check_Fk_theorem"):
+        monkeypatch.setattr(cli, name, spy(name))
+    out = tmp_path / "out.txt"
+    out.write_text("kept\n")
+    refused = tmp_path / refused
+    target = refused
+    if refused.suffix == ".json":  # the sidecar is a directory; the output file is fine
+        refused.mkdir()
+        target = out
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*argv, str(target)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith(f"error: cannot write output file {str(refused)!r}")
+    assert called == []
+    assert sorted(tmp_path.rglob("*")) == before and out.read_text() == "kept\n"
+
+
+def test_a_sweeps_stdout_does_not_depend_on_threads(capsys):
+    # the sweep's blocks mix classes named by their lowest mask with
+    # classes keyed by the mask they were generated with
+    outs = []
+    for threads in ("1", "2"):
+        assert main(["--threads", threads, "verify", "ncondition", "--sweep", "6"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[1] == outs[0]
+    assert outs[0].endswith("summary: 27474 graphs, 27474 holds, 0 fails, 0 not_applicable (all hold)\n")
+
+
 def test_graph_spec_names_a_file_with_a_colon(tmp_path):
     (tmp_path / "g:1.txt").write_text(write_edge_list(path_graph(3)))
     proc = run_cli("verify", "product", "--g", "g:1.txt", "--m", "3", cwd=tmp_path)

@@ -21,6 +21,7 @@ from edimlab import (
     survey_triples,
     write_graph6,
 )
+from edimlab import experiments
 from edimlab.experiments import (
     _automorphisms,
     _class_levels,
@@ -137,8 +138,62 @@ def test_orbit_minima_are_every_vertex_set_exactly_for_rigid_classes():
     # the identity automorphism, every non-empty vertex set is least in its orbit
     for n, classes in _class_levels(6):
         for mask, weight in classes:
-            every_set = _orbit_minima(_graph_of_mask(n, mask).adj_bits) == list(range(1, 1 << n))
+            least = [s for s, _ in _orbit_minima(_graph_of_mask(n, mask).adj_bits)]
+            every_set = least == list(range(1, 1 << n))
             assert every_set == (weight == factorial(n)), (n, mask)
+
+
+def test_orbit_sizes_times_stabilizers_are_the_automorphism_count():
+    for n, classes in _class_levels(5):
+        for mask, weight in classes:
+            adj = _graph_of_mask(n, mask).adj_bits
+            auts = _automorphisms(adj)
+            for s, orbit in _orbit_minima(adj):
+                stabilizer = [p for p in auts if sum(1 << p[v] for v in range(n) if s >> v & 1) == s]
+                assert orbit * len(stabilizer) == len(auts) == factorial(n) // weight
+
+
+def _sweep_levels_named_canonically(n_max):
+    """_class_levels(n_max, canonical=False), each class renamed by its lowest mask."""
+    for n, classes in _class_levels(n_max, canonical=False):
+        masks = [mask for mask, _ in classes]
+        assert masks == sorted(set(masks))
+        named = [(canonical_mask(n, _graph_of_mask(n, mask).adj_bits)[0], w) for mask, w in classes]
+        yield n, sorted(named)
+
+
+def test_sweep_levels_are_the_canonical_levels_class_for_class():
+    # a class generated once is keyed by its own labelled mask and weighed
+    # by orbit-stabilizer; renamed, the levels are connected_classes'
+    sweep = list(_sweep_levels_named_canonically(7))
+    assert sweep == list(_class_levels(7))
+    for n, classes in sweep:
+        assert len(classes) == A001349[n]
+        assert sum(weight for _, weight in classes) == A001187[n]
+
+
+@pytest.mark.extended
+def test_sweep_levels_at_n8_are_the_canonical_levels():
+    sweep = list(_sweep_levels_named_canonically(8))[-1][1]
+    assert sweep == connected_classes(8)
+    assert len(sweep) == A001349[8]
+    assert sum(weight for _, weight in sweep) == A001187[8]
+
+
+@pytest.mark.parametrize("n, calls", [(6, {True: 142, False: 101}), (7, {True: 1015, False: 506})])
+def test_sweep_levels_call_canonical_mask_only_for_tied_children(monkeypatch, n, calls):
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return canonical_mask(*args)
+
+    monkeypatch.setattr(experiments, "canonical_mask", spy)
+    for canonical, want in calls.items():
+        seen.clear()
+        for _ in _class_levels(n, canonical):
+            pass
+        assert len(seen) == want, canonical
 
 
 def test_automorphisms_are_the_permutations_fixing_the_graph():
