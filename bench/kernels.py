@@ -30,11 +30,14 @@ edge levels, are computed before any timing.  For each N of --census
 (default 6) it times class generation in both modes:
 experiments._class_levels(N), which names every class by canonical_mask,
 and _class_levels(N, canonical=False), the theorem sweeps' mode, which
-calls it only for children whose new vertex ties a non-cut vertex in
-rank; and in each mode experiments.canonical_mask over every child that
-run names and experiments._orbit_minima over every parent it lists the
-automorphisms of.  Their objects are the classes on N vertices, the children (so the
-canonical_mask lines give each mode's call count) and the parents.
+calls it only for children whose tied top-ranked non-cut vertices span
+two orbits; and in each mode experiments.canonical_mask over every child
+that run names, experiments._orbit_minima over every parent it lists the
+automorphisms of, and experiments._one_orbit, the orbit test, over every
+child whose new vertex ties a non-cut vertex in rank (the sweep mode
+only).  Their objects are the classes on N vertices, the children (so the
+canonical_mask and _one_orbit lines give each mode's call counts) and the
+parents.
 Prints one tab-separated line per input, problem and kernel: input,
 problem, objects, kernel, best seconds.  Each K must be 1 to
 theorems.MAX_FAMILY_K (6), the F_K whose edim fits the solvers' pair-bit
@@ -143,9 +146,9 @@ def gated_search(repeat: int, name: str, problem: str, cover) -> None:
 
 
 def census_calls(n: int, canonical: bool) -> dict[str, list[tuple]]:
-    """The arguments of every canonical_mask and _orbit_minima call that
-    one run of _class_levels(n, canonical) makes."""
-    calls: dict[str, list[tuple]] = {"canonical_mask": [], "_orbit_minima": []}
+    """The arguments of every canonical_mask, _orbit_minima and _one_orbit
+    call that one run of _class_levels(n, canonical) makes."""
+    calls: dict[str, list[tuple]] = {"canonical_mask": [], "_orbit_minima": [], "_one_orbit": []}
     real = {name: getattr(experiments, name) for name in calls}
 
     def recorder(name):

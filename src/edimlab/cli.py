@@ -17,6 +17,7 @@ from pathlib import Path
 from . import __version__
 from .constructions import (
     LabeledConstruction,
+    _family_counts,
     cartesian_path,
     construct_F,
     construct_H,
@@ -27,24 +28,26 @@ from .errors import BadParamsError, DisconnectedError, FormatError, GraphError
 from .experiments import survey_triples
 from .formats import edge_list_chunks, parse_graph_text, write_graph6
 from .graph import Graph
-from .resolver import edge_metric_dimension, metric_dimension, min_joint_cover
+from .resolver import _pair_cap, edge_metric_dimension, metric_dimension, min_joint_cover
 from .theorems import CHECKS, FAILS, MAX_FAMILY_K, check_Fk_theorem, check_Hk_theorem, sweep_theorem
 
 
-def _build_from_tokens(tokens) -> LabeledConstruction | Graph:
+def _build_from_tokens(tokens, kind: str | None = None) -> LabeledConstruction | Graph:
+    """The graph the tokens name.  Given the `compute` kind to solve, F_k and
+    H_k over the solvers' pair-bit cap are refused from k alone, unbuilt."""
     name, params = tokens[0], tokens[1:]
     try:
         ints = [int(p) for p in params]
     except ValueError:
         raise BadParamsError(f"construction parameters must be integers, got {params!r}")
-    if name == "F":
+    if name in ("F", "H"):
         if len(ints) != 1:
-            raise BadParamsError("F takes exactly one parameter k")
-        return construct_F(ints[0])
-    if name == "H":
-        if len(ints) != 1:
-            raise BadParamsError("H takes exactly one parameter k")
-        return construct_H(ints[0])
+            raise BadParamsError(f"{name} takes exactly one parameter k")
+        if kind is not None:
+            n, m = _family_counts(name, ints[0])
+            # the objects that compute's solve guards: see resolver._problem and min_joint_cover
+            _pair_cap(n, {"dim": n, "edim": m, "joint": max(n, m)}[kind])
+        return (construct_F if name == "F" else construct_H)(ints[0])
     return standard_family(name, ints)
 
 
@@ -91,7 +94,7 @@ def _load_input(args) -> Graph:
     if args.construct:
         if args.format != "auto":  # the default, which reads nothing
             raise BadParamsError("compute --construct does not read --format")
-        return _graph_of(_build_from_tokens(args.construct))
+        return _graph_of(_build_from_tokens(args.construct, args.kind))
     if args.input:
         return _read_graph_file(args.input, args.format)
     raise BadParamsError("provide an input file or --construct")

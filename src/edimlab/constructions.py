@@ -37,6 +37,7 @@ the levels g keeps, so it builds no product and runs no BFS on one.
 """
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import BadParamsError, KOutOfRangeError, MTooSmallError, NoEdgesError
 from .graph import MAX_VERTICES, Graph, _graph_from_edges, build_graph
@@ -51,10 +52,25 @@ class LabeledConstruction:
     labels: tuple[str, ...]
 
 
-def construct_F(k: int) -> LabeledConstruction:
-    """Two glued cliques: B of size k and A of size 2^k indexed by subsets of B."""
+def _check_k(k) -> None:
+    """The one check of the family parameter k that F_k and H_k take."""
     if type(k) is not int or not 1 <= k <= MAX_FK_K:
         raise KOutOfRangeError(f"k must be in 1..{MAX_FK_K}, got {k!r}")
+
+
+def _family_counts(name: str, k: int) -> tuple[int, int]:
+    """(vertices, edges) of F_k, or of H_k when name is "H", from k alone:
+    F_k has the cliques B and A and k 2^(k-1) edges between them, and H_k
+    adds t, adjacent to all of F_k."""
+    _check_k(k)
+    n = k + (1 << k)
+    m = comb(k, 2) + comb(1 << k, 2) + (k << (k - 1))
+    return (n + 1, m + n) if name == "H" else (n, m)
+
+
+def construct_F(k: int) -> LabeledConstruction:
+    """Two glued cliques: B of size k and A of size 2^k indexed by subsets of B."""
+    _check_k(k)
     n = k + (1 << k)
     edges = []
     for i in range(k):

@@ -10,13 +10,16 @@ on n vertices are grown from those on n - 1 by adding a vertex, and
 `canonical_mask` runs on about one child per class: the new vertex's
 neighbourhood must be least under the parent's automorphisms, and no
 vertex whose removal leaves the child connected may outrank the new one
-(`_class_levels` gives the rules and why no class is lost).  When no such
-vertex ties the new one either, the new vertex is the class's unique top,
-so the class is generated exactly once and every automorphism fixes the
-new vertex; its weight then follows by orbit-stabilizer from the parent's,
-with no canonical labelling.  Theorem sweeps, which name no class, take
-their classes that way (about a third of the `canonical_mask` calls up to
-n = 8).
+(`_class_levels` gives the rules and why no class is lost).  When every
+such vertex that ties the new one is the new one's image under some
+automorphism of the child (the orbit test: `_automorphisms` with the new
+vertex pinned to it), the top-ranked ones form one orbit, so the class is
+generated exactly once; its weight then follows by orbit-stabilizer from
+the parent's, with no canonical labelling.  Theorem sweeps and
+`ratio_extremes`, which name no class, take their classes that way: only
+children whose ties span two orbits are labelled canonically (none up to
+n = 6, 40 up to n = 7 and 740 up to n = 8, against 12486 calls to name
+every class up to n = 8).
 
 Surveys, ratio sweeps and theorem sweeps all run through `class_sweep`,
 which holds the census cap and fans each level out over `--threads`
@@ -146,41 +149,54 @@ def canonical_mask(n: int, adj_bits) -> tuple[int, int]:
     return mask, states[bytes([_PLACED]) * n]
 
 
-def _automorphisms(adj) -> list[tuple[int, ...]]:
-    """Every permutation p of the vertices with p(u) ~ p(v) exactly when u ~ v.
+def _automorphisms(adj, first: int = 0, to: int | None = None):
+    """Yield every permutation p of the vertices with p(u) ~ p(v) exactly when
+    u ~ v; given `to`, only those with p(first) = to.
 
-    adj holds the adjacency bitmasks.  Backtracking maps vertices 0, 1, ...
-    in turn, each to an unused vertex of its degree whose adjacency to the
-    images so far is the image of its own adjacency to the vertices
-    mapped before it.
+    adj holds the adjacency bitmasks.  Backtracking maps `first`, then the
+    other vertices in ascending order, each to an unused vertex of its
+    degree whose adjacency to the images so far is the image of its own
+    adjacency to the vertices mapped before it.  The first item, or None,
+    answers whether some automorphism maps `first` to `to`.
     """
     n = len(adj)
     deg = [a.bit_count() for a in adj]
-    found = []
+    of_degree: dict[int, list[int]] = {}
+    for t, d in enumerate(deg):
+        of_degree.setdefault(d, []).append(t)
+    # each step's vertex, its candidate images, and the mask of its neighbours mapped before it
+    steps = []
+    mapped = 0
+    for v in (first, *range(first), *range(first + 1, n)):
+        steps.append((v, of_degree[deg[v]], adj[v] & mapped))
+        mapped |= 1 << v
+    if to is not None:
+        steps[0] = (first, [to] if deg[to] == deg[first] else [], 0)
     image = [0] * n
 
-    def extend(v: int, used: int) -> None:
-        if v == n:
-            found.append(tuple(image))
+    def extend(i: int, used: int):
+        if i == n:
+            yield tuple(image)
             return
+        v, same, before = steps[i]
         want = 0
-        for u in range(v):
-            if adj[v] >> u & 1:
-                want |= 1 << image[u]
-        for t in range(n):
-            if not used >> t & 1 and deg[t] == deg[v] and adj[t] & used == want:
+        while before:
+            low = before & -before
+            want |= 1 << image[low.bit_length() - 1]
+            before ^= low
+        for t in same:
+            if not used >> t & 1 and adj[t] & used == want:
                 image[v] = t
-                extend(v + 1, used | 1 << t)
+                yield from extend(i + 1, used | 1 << t)
 
-    extend(0, 0)
-    return found
+    return extend(0, 0)
 
 
 def _orbit_minima(adj) -> list[tuple[int, int]]:
     """(s, orbit size) for each non-empty vertex set s, as a mask, that is
     least among its images under Aut."""
     n = len(adj)
-    perms = _automorphisms(adj)
+    perms = list(_automorphisms(adj))
     bit_images = [[1 << p[v] for p in perms] for v in range(n)]
     seen: set[int] = set()
     least = []
@@ -220,10 +236,10 @@ def _rank(adj, deg, v: int) -> tuple:
     return deg[v], sorted(deg[x] for x in nbrs), sum((adj[x] & adj[v]).bit_count() for x in nbrs)
 
 
-def _rival(child, pieces) -> int:
-    """How the child's new (last) vertex w stands against the parent's
-    vertices u whose removal leaves the child connected (non-cut u): 1 if
-    one outranks w by `_rank`, else 0 if one ties it, else -1.
+def _rival(child, pieces) -> list[int] | None:
+    """The parent's vertices u whose removal leaves the child connected
+    (non-cut u) and that tie the child's new (last) vertex w by `_rank`, or
+    None when a non-cut u outranks w.
 
     pieces[u] are the components of the parent minus u; the child minus u
     is connected exactly when w has a neighbour in each.
@@ -231,7 +247,7 @@ def _rival(child, pieces) -> int:
     w = len(child) - 1
     deg = [a.bit_count() for a in child]
     top = None
-    tied = False
+    tied = []
     for u in range(w):
         if deg[u] < deg[w]:
             continue
@@ -240,14 +256,32 @@ def _rival(child, pieces) -> int:
             if top is None:
                 top = _rank(child, deg, w)
             rank = _rank(child, deg, u)
-            if rank < top or tied and rank == top:
+            if rank < top:
                 continue
             above = rank > top
         if all(child[w] & piece for piece in pieces[u]):
             if above:
-                return 1
-            tied = True
-    return 0 if tied else -1
+                return None
+            tied.append(u)
+    return tied
+
+
+def _one_orbit(child, tied) -> bool:
+    """Whether automorphisms of the child map its new (last) vertex w to
+    every vertex of `tied`: the first item of a pinned search per vertex,
+    skipping those on the cycle of w under an automorphism already found."""
+    w = len(child) - 1
+    left = set(tied)
+    while left:
+        u = left.pop()
+        p = next(_automorphisms(child, w, u), None)
+        if p is None:
+            return False
+        u = p[u]
+        while u != w:
+            left.discard(u)
+            u = p[u]
+    return True
 
 
 def _mask_of(adj) -> int:
@@ -287,17 +321,21 @@ def _class_levels(n_max: int, canonical: bool = True):
     names its class by the lowest mask and counts its automorphisms; ties
     in rank can keep more than one child of a class, and they merge by
     mask.  That is the level `connected_classes` returns.  With
-    canonical=False, a kept child in which no non-cut vertex ties w skips
-    that call.  Then w is G's only top-ranked non-cut vertex, so the
-    argument above must take v = w and the one parent P of G - v's class,
-    and S is the least set of its orbit: the class is generated exactly
-    once, and is keyed by the child's own mask.  Every automorphism of the
-    child keeps rank and non-cut vertices, so it fixes w; Aut(child) is
-    therefore the stabilizer of S in Aut(P), and by orbit-stabilizer the
-    weight is n!|orbit(S)|/|Aut(P)| = n weight(P) |orbit(S)|.  A class
-    with a tied top is reached only through tied children, which keep the
-    call.  The levels hold the same classes with the same weights, some
-    named by other masks.
+    canonical=False, take the child as G, let `tied` be the parent's
+    vertices that are non-cut in G and tie w in rank, and T = |tied| + 1
+    the number of G's top-ranked non-cut vertices.  When automorphisms of
+    G map w to every vertex of `tied` (`_one_orbit`; true when `tied` is
+    empty), those T vertices form w's orbit under Aut(G), since
+    automorphisms keep rank and non-cut vertices.  Every choice of v above then
+    gives the same parent P and the same least set S, so the class is
+    generated exactly once, and is keyed by the child's own mask.  The
+    stabilizer of w in Aut(G) is the stabilizer of S in Aut(P), so by
+    orbit-stabilizer |Aut(G)| = T (n-1)!/(weight(P) |orbit(S)|), and the
+    weight is n weight(P) |orbit(S)|/T.  Whether the top-ranked non-cut
+    vertices form one orbit is a property of G, so a class whose ties span
+    two orbits is reached only through children that fail the test, which
+    keep the `canonical_mask` call.  The levels hold the same classes with
+    the same weights, some named by other masks.
     """
     level = [(0, 1)]
     yield 1, level
@@ -313,12 +351,14 @@ def _class_levels(n_max: int, canonical: bool = True):
             for nbrs, orbit in minima:
                 child = [a | new if nbrs >> v & 1 else a for v, a in enumerate(adj)]
                 child.append(nbrs)
-                rival = _rival(child, pieces)
-                if rival < 0 and not canonical:
-                    weights[_mask_of(child)] = n * weight * orbit
-                elif rival <= 0:
+                tied = _rival(child, pieces)
+                if tied is None:
+                    continue
+                if canonical or tied and not _one_orbit(child, tied):
                     mask, aut = canonical_mask(n, child)
                     weights[mask] = total // aut
+                else:
+                    weights[_mask_of(child)] = n * weight * orbit // (len(tied) + 1)
         level = sorted(weights.items())
         yield n, level
 
@@ -375,10 +415,11 @@ def class_sweep(block_fn, n_lo: int, n_max: int, threads: int, *args, canonical:
             yield n, run_blocks(block_fn, jobs, threads)
 
 
-def _solved_classes(n: int, threads: int) -> list[tuple[int, int, int, int]]:
-    """(mask, weight, dim, edim) of every class on n vertices, in ascending mask order."""
+def _solved_classes(n: int, threads: int, canonical: bool = True) -> list[tuple[int, int, int, int]]:
+    """(mask, weight, dim, edim) of every class on n vertices, in ascending
+    mask order; the classes are `_class_levels(n, canonical)`'s."""
     return [
-        row for _, blocks in class_sweep(_survey_block, n, n, threads)
+        row for _, blocks in class_sweep(_survey_block, n, n, threads, canonical=canonical)
         for block in blocks for row in block
     ]
 
@@ -406,8 +447,10 @@ def ratio_extremes(n: int, threads: int = 1) -> tuple[Fraction, list[str]]:
     Graphs with dim = 0 (the single-vertex graph) are excluded.  Returns the
     exact ratio and the graph6 encodings of all maximizing labeled graphs,
     in ascending mask order: every relabelling of every maximizing class.
+    Those do not depend on which graph stands for a class, so it takes the
+    classes with canonical=False.
     """
-    solved = _solved_classes(n, threads)
+    solved = _solved_classes(n, threads, canonical=False)
     ratios = {mask: Fraction(edim, dim) for mask, _, dim, edim in solved if dim}
     if not ratios:
         raise BadParamsError(f"no graph with dim > 0 exists at n={n}")

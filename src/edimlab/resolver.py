@@ -48,10 +48,11 @@ way from a graph to its instance: it asks the guard, then reads the
 levels.
 
 One guard: `_guard(g, landmarks, objects, what)` tests that g is connected,
-then that landmarks x C(objects, 2) is within MAX_PAIR_BITS.  `_problem`,
-`min_joint_cover` (once, over the larger of its two object counts) and the
-product's instance, `constructions._path_product_problem`, ask it before
-anything is read.
+then that landmarks x C(objects, 2) is within MAX_PAIR_BITS (`_pair_cap`).
+`_problem`, `min_joint_cover` (once, over the larger of its two object
+counts) and the product's instance, `constructions._path_product_problem`,
+ask it before anything is read.  `compute --construct F|H K` asks
+`_pair_cap` alone, from the family's counts, before it builds the graph.
 
 Minimal separator sets: the branch-and-bound, and every scan of an
 instance that has found them, work over the distinct inclusion-minimal
@@ -391,9 +392,16 @@ def _branch_and_bound_size(bits: list[int], universe: int, seps: list[int], uppe
 
 def _guard(g: Graph, landmarks: int, objects: int, what: str) -> None:
     """The guards of every cover-search instance, asked before any level is
-    read: g connected, then landmarks x C(objects, 2) within MAX_PAIR_BITS."""
+    read: g connected, then `_pair_cap`."""
     if not is_connected(g):
         raise DisconnectedError(f"{what} requires a connected graph")
+    _pair_cap(landmarks, objects)
+
+
+def _pair_cap(landmarks: int, objects: int) -> None:
+    """The guard's count check, landmarks x C(objects, 2) within
+    MAX_PAIR_BITS, which a caller that knows the counts before it builds
+    the graph asks alone."""
     need = landmarks * comb(objects, 2)
     if need > MAX_PAIR_BITS:
         raise NTooLargeError(

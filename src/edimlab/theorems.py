@@ -370,8 +370,9 @@ def sweep_theorem(theorem_id: str, n_max: int, threads: int = 1, m: int = 2) -> 
     counted and reported on its own, so the counts, failures and
     certificates are those of a sweep over every labeled graph.  None of
     this depends on which graph stands for a class, so the sweep takes the
-    classes with canonical=False: a class generated once is keyed by the
-    mask it was generated with, not its lowest (see
+    classes with canonical=False: a class that the orbit test shows is
+    generated once is keyed by the mask it was generated with, not its
+    lowest, and only children whose ties span two orbits are labelled (see
     `experiments._class_levels`).  A sweep whose n_max is below the
     checker's min_n would check nothing, and is refused.
     """

@@ -352,6 +352,46 @@ def test_memory_guard_refuses_before_any_distance_is_computed(monkeypatch, capsy
     assert "bits of pair bitsets" in capsys.readouterr().err
 
 
+def _over_cap(landmarks, objects, need):
+    return f"error: {landmarks} landmarks and {objects} objects need {need} bits of pair bitsets, over the cap of 4294967296\n"
+
+
+# compute of F_k and H_k over the pair-bit cap or with k out of range, each
+# with the stderr it printed when the builder ran before the refusal
+_OVER_CAP = [
+    ("dim", "F", "11", _over_cap(2059, 2059, 4362425949)),
+    ("dim", "H", "11", _over_cap(2060, 2060, 4368786200)),
+    ("edim", "F", "7", _over_cap(135, 8597, 4988237310)),
+    ("edim", "H", "7", _over_cap(136, 8732, 5184258256)),
+    ("edim", "F", "11", _over_cap(2059, 2107447, 4572350007497679)),
+    ("joint", "F", "7", _over_cap(135, 8597, 4988237310)),
+    ("joint", "H", "10", _over_cap(1035, 529975, 145351762311375)),
+    ("dim", "H", "12", "error: k must be in 1..11, got 12\n"),
+    ("edim", "F", "0", "error: k must be in 1..11, got 0\n"),
+]
+
+
+@pytest.mark.parametrize("kind, family, k, err", _OVER_CAP, ids=[" ".join(c[:3]) for c in _OVER_CAP])
+def test_families_over_the_pair_bit_cap_are_refused_unbuilt(monkeypatch, capsys, kind, family, k, err):
+    from edimlab import cli
+
+    def unbuilt(k):
+        raise AssertionError(f"the family graph was built for k={k}")
+
+    monkeypatch.setattr(cli, "construct_F", unbuilt)
+    monkeypatch.setattr(cli, "construct_H", unbuilt)
+    assert main(["compute", kind, "--construct", family, k]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_families_within_the_pair_bit_cap_are_built_and_solved(capsys):
+    # F_6's edim instance is the largest within the cap; its dim and H_2's joint solve
+    assert main(["compute", "dim", "--construct", "F", "6"]) == 0
+    assert capsys.readouterr().out.startswith("value: ")
+    assert main(["compute", "joint", "--construct", "H", "2"]) == 0
+    assert capsys.readouterr().out.startswith("value: ")
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -26,8 +27,10 @@ from edimlab.experiments import (
     _automorphisms,
     _class_levels,
     _graph_of_mask,
+    _one_orbit,
     _orbit_minima,
     _pieces_without,
+    _rival,
 )
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
@@ -147,7 +150,7 @@ def test_orbit_sizes_times_stabilizers_are_the_automorphism_count():
     for n, classes in _class_levels(5):
         for mask, weight in classes:
             adj = _graph_of_mask(n, mask).adj_bits
-            auts = _automorphisms(adj)
+            auts = list(_automorphisms(adj))
             for s, orbit in _orbit_minima(adj):
                 stabilizer = [p for p in auts if sum(1 << p[v] for v in range(n) if s >> v & 1) == s]
                 assert orbit * len(stabilizer) == len(auts) == factorial(n) // weight
@@ -180,7 +183,8 @@ def test_sweep_levels_at_n8_are_the_canonical_levels():
     assert sum(weight for _, weight in sweep) == A001187[8]
 
 
-@pytest.mark.parametrize("n, calls", [(6, {True: 142, False: 101}), (7, {True: 1015, False: 506})])
+# the sweep mode names only children whose tied vertices span two orbits
+@pytest.mark.parametrize("n, calls", [(6, {True: 142, False: 0}), (7, {True: 1015, False: 40})])
 def test_sweep_levels_call_canonical_mask_only_for_tied_children(monkeypatch, n, calls):
     seen = []
 
@@ -196,13 +200,59 @@ def test_sweep_levels_call_canonical_mask_only_for_tied_children(monkeypatch, n,
         assert len(seen) == want, canonical
 
 
+def _tied_children(n):
+    """(child, tied) for every kept child on n vertices with a tied top,
+    as the sweep mode's loop builds them."""
+    new = 1 << (n - 1)
+    for parent, _ in list(_class_levels(n - 1))[-1][1]:
+        adj = _graph_of_mask(n - 1, parent).adj_bits
+        pieces = [_pieces_without(adj, u) for u in range(n - 1)]
+        for nbrs, _ in _orbit_minima(adj):
+            child = [a | new if nbrs >> v & 1 else a for v, a in enumerate(adj)]
+            child.append(nbrs)
+            tied = _rival(child, pieces)
+            if tied:
+                yield child, tied
+
+
+def _assert_pinned_search_finds_the_listed_images(adj):
+    n = len(adj)
+    auts = list(_automorphisms(adj))
+    for w in range(n):
+        images = {p[w] for p in auts}
+        for u in range(n):
+            found = next(_automorphisms(adj, w, u), None)
+            assert (found is not None) == (u in images), (adj, w, u)
+            if found is not None:
+                assert found in auts and found[w] == u
+
+
+def test_pinned_search_maps_w_to_u_exactly_when_some_automorphism_does():
+    for n, classes in _class_levels(6):
+        for mask, _ in classes:
+            _assert_pinned_search_finds_the_listed_images(_graph_of_mask(n, mask).adj_bits)
+
+
+def test_pinned_search_on_the_tied_children_at_n7():
+    children = list(_tied_children(7))
+    assert len(children) == 506 - 101  # the tied children up to n = 7, less those up to n = 6
+    split = 0
+    for child, tied in children:
+        _assert_pinned_search_finds_the_listed_images(child)
+        auts = list(_automorphisms(child))
+        one_orbit = {p[6] for p in auts} >= set(tied)
+        assert _one_orbit(child, tied) == one_orbit
+        split += not one_orbit
+    assert split == 40
+
+
 def test_automorphisms_are_the_permutations_fixing_the_graph():
     for n, classes in _class_levels(6):
         for mask, _ in classes:
             g = _graph_of_mask(n, mask)
             relabelled = zip(permutations(range(n)), _relabelled_masks(n, g.edges))
             fixing = {p for p, image in relabelled if image == mask}
-            auts = _automorphisms(g.adj_bits)
+            auts = list(_automorphisms(g.adj_bits))
             assert len(auts) == len(fixing) == canonical_mask(n, g.adj_bits)[1]
             assert set(auts) == fixing
 
@@ -330,3 +380,21 @@ def test_class_census_matches_a_labeled_reference(n):
     ]
     assert ratio_extremes(n) == (best, witnesses)
     assert ratio_extremes(n, threads=2) == (best, witnesses)
+
+
+# SHA-256 of the witnesses' graph6 lines as ratio_extremes printed them on
+# the named classes: every relabelling of each maximising class, which the
+# sweep mode's other representatives must leave unchanged
+RATIO_EXTREMES = {
+    3: (Fraction(1), 4, "1cd627bfb40d865b9cb9db170c9cc42ed01a165e77c8b343af8c58ea5a6aa3c9"),
+    4: (Fraction(3, 2), 6, "d7d7714b3dd19ee91428eb41e68f99dea73143c9746fe93f88f2184125ebacc8"),
+    5: (Fraction(2), 15, "e4ef7380a815ea967c672c9f5c07e8fd5b426dd4b9e971ecd183ed75c79f1c66"),
+    6: (Fraction(2), 4152, "13c15ad248d0b2447c6623bf4dbc2edc0bfe2d7c62a1c88ce58a583544f795f8"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(RATIO_EXTREMES))
+def test_ratio_extremes_on_the_sweep_classes_are_unchanged(n):
+    ratio, witnesses = ratio_extremes(n)
+    digest = hashlib.sha256("\n".join(witnesses).encode()).hexdigest()
+    assert (ratio, len(witnesses), digest) == RATIO_EXTREMES[n]
