@@ -37,7 +37,12 @@ automorphisms of, and experiments._one_orbit, the orbit test, over every
 child whose new vertex ties a non-cut vertex in rank (the sweep mode
 only).  Their objects are the classes on N vertices, the children (so the
 canonical_mask and _one_orbit lines give each mode's call counts) and the
-parents.
+parents.  It then times the survey's naming step on the sweep mode's
+classes on N vertices, solved beforehand:
+experiments._independence_number over every class, then canonical_mask
+over each (dim, edim) row's classes of largest independence number, the
+only ones survey_triples names; the objects are the classes and the
+canonical_mask calls.
 Prints one tab-separated line per input, problem and kernel: input,
 problem, objects, kernel, best seconds.  Each K must be 1 to
 theorems.MAX_FAMILY_K (6), the F_K whose edim fits the solvers' pair-bit
@@ -181,6 +186,22 @@ def census(repeat: int, n: int) -> None:
             print(f"{name}\tgeneration\t{len(args)}\t{kernel}{mode}\t{secs:.6g}", flush=True)
 
 
+def survey_naming(repeat: int, n: int) -> None:
+    """Time the survey's naming step on the classes on n vertices: α of
+    every class, then canonical_mask over each row's classes of largest α."""
+    name = f"census{n}"
+    solved = experiments._solved_classes(n, 1)
+    adj = {mask: experiments._graph_of_mask(n, mask).adj_bits for mask, *_ in solved}
+    secs, _ = best_of(repeat, lambda: [experiments._independence_number(a) for a in adj.values()])
+    print(f"{name}\tsurvey naming\t{len(adj)}\t_independence_number\t{secs:.6g}", flush=True)
+    rows: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for mask, _, dim, edim, alpha in solved:
+        rows.setdefault((dim, edim), []).append((alpha, mask))
+    named = [adj[mask] for classes in rows.values() for alpha, mask in classes if alpha == max(classes)[0]]
+    secs, _ = best_of(repeat, lambda: [experiments.canonical_mask(n, a) for a in named])
+    print(f"{name}\tsurvey naming\t{len(named)}\tcanonical_mask(largest alpha)\t{secs:.6g}", flush=True)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeat", type=int, default=10, help="calls per kernel; the best is printed")
@@ -218,6 +239,7 @@ def main() -> None:
                 gated_search(args.repeat, name, problem, cover)
     for n in args.census:
         census(args.repeat, n)
+        survey_naming(args.repeat, n)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from . import __version__
 from .constructions import (
     LabeledConstruction,
     _family_counts,
+    _standard_counts,
     cartesian_path,
     construct_F,
     construct_H,
@@ -33,20 +34,22 @@ from .theorems import CHECKS, FAILS, MAX_FAMILY_K, check_Fk_theorem, check_Hk_th
 
 
 def _build_from_tokens(tokens, kind: str | None = None) -> LabeledConstruction | Graph:
-    """The graph the tokens name.  Given the `compute` kind to solve, F_k and
-    H_k over the solvers' pair-bit cap are refused from k alone, unbuilt."""
+    """The graph the tokens name.  Given the `compute` kind to solve, a
+    family over the solvers' pair-bit cap is refused from its counts,
+    unbuilt."""
     name, params = tokens[0], tokens[1:]
     try:
         ints = [int(p) for p in params]
     except ValueError:
         raise BadParamsError(f"construction parameters must be integers, got {params!r}")
-    if name in ("F", "H"):
-        if len(ints) != 1:
-            raise BadParamsError(f"{name} takes exactly one parameter k")
-        if kind is not None:
-            n, m = _family_counts(name, ints[0])
-            # the objects that compute's solve guards: see resolver._problem and min_joint_cover
-            _pair_cap(n, {"dim": n, "edim": m, "joint": max(n, m)}[kind])
+    fk = name in ("F", "H")
+    if fk and len(ints) != 1:
+        raise BadParamsError(f"{name} takes exactly one parameter k")
+    if kind is not None:
+        n, m = _family_counts(name, ints[0]) if fk else _standard_counts(name, ints)
+        # the objects that compute's solve guards: see resolver._problem and min_joint_cover
+        _pair_cap(n, {"dim": n, "edim": m, "joint": max(n, m)}[kind])
+    if fk:
         return (construct_F if name == "F" else construct_H)(ints[0])
     return standard_family(name, ints)
 

@@ -205,21 +205,38 @@ def witness_from_joint_cover(g: Graph, m: int, cover) -> set[int]:
     return witness
 
 
-# name: (smallest value of each parameter, vertex count, edge list); each
-# list is canonical and sorted, as the trusted _graph_from_edges requires
+# name: (smallest value of each parameter, vertex count, edge count, edge
+# list); each list is canonical and sorted, as the trusted _graph_from_edges requires
 _FAMILIES = {
-    "path": ((1,), lambda n: n, lambda n: [(i, i + 1) for i in range(n - 1)]),
-    "cycle": ((3,), lambda n: n, lambda n: [(0, 1), (0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)]),
-    "complete": ((1,), lambda n: n, lambda n: [(i, j) for i in range(n) for j in range(i + 1, n)]),
-    "star": ((1,), lambda leaves: leaves + 1, lambda leaves: [(0, i) for i in range(1, leaves + 1)]),
+    "path": ((1,), lambda n: n, lambda n: n - 1, lambda n: [(i, i + 1) for i in range(n - 1)]),
+    "cycle": (
+        (3,),
+        lambda n: n,
+        lambda n: n,
+        lambda n: [(0, 1), (0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)],
+    ),
+    "complete": (
+        (1,),
+        lambda n: n,
+        lambda n: comb(n, 2),
+        lambda n: [(i, j) for i in range(n) for j in range(i + 1, n)],
+    ),
+    "star": (
+        (1,),
+        lambda leaves: leaves + 1,
+        lambda leaves: leaves,
+        lambda leaves: [(0, i) for i in range(1, leaves + 1)],
+    ),
     "complete_bipartite": (
         (1, 1),
         lambda a, b: a + b,
+        lambda a, b: a * b,
         lambda a, b: [(i, a + j) for i in range(a) for j in range(b)],
     ),
     "grid": (
         (1, 1),
         lambda rows, cols: rows * cols,
+        lambda rows, cols: rows * (cols - 1) + (rows - 1) * cols,
         lambda rows, cols: sorted(
             [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
             + [(v, v + cols) for v in range((rows - 1) * cols)]
@@ -228,21 +245,29 @@ _FAMILIES = {
 }
 
 
-def standard_family(name: str, params) -> Graph:
-    """Named small families: path n, cycle n, complete n, star leaves,
-    complete_bipartite a b, grid rows cols.
-
-    The parameters' count, integer type, smallest values and the vertex
-    count are all checked before any edge is listed.
-    """
+def _standard_counts(name: str, params) -> tuple[int, int]:
+    """(vertices, edges) of a named family from its parameters alone, after
+    the checks of their count, integer type and smallest values, and of the
+    vertex cap."""
     params = tuple(params)
     if name not in _FAMILIES:
         raise BadParamsError(f"unknown family {name!r}; choose from {sorted(_FAMILIES)}")
-    mins, order, edges = _FAMILIES[name]
+    mins, order, size, _ = _FAMILIES[name]
     if len(params) != len(mins) or not all(type(p) is int for p in params):
         raise BadParamsError(f"family {name!r} takes {len(mins)} integer parameter(s), got {params!r}")
     if any(p < low for p, low in zip(params, mins)):
         lows = ", ".join(map(str, mins))
         raise BadParamsError(f"family {name!r} needs parameters >= {lows}, got {params!r}")
-    n = _within_cap(f"family {name!r}", order(*params))
-    return _graph_from_edges(n, tuple(edges(*params)))
+    return _within_cap(f"family {name!r}", order(*params)), size(*params)
+
+
+def standard_family(name: str, params) -> Graph:
+    """Named small families: path n, cycle n, complete n, star leaves,
+    complete_bipartite a b, grid rows cols.
+
+    The parameters and the vertex count are checked (`_standard_counts`)
+    before any edge is listed.
+    """
+    params = tuple(params)
+    n, _ = _standard_counts(name, params)
+    return _graph_from_edges(n, tuple(_FAMILIES[name][3](*params)))

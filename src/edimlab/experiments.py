@@ -15,20 +15,28 @@ such vertex that ties the new one is the new one's image under some
 automorphism of the child (the orbit test: `_automorphisms` with the new
 vertex pinned to it), the top-ranked ones form one orbit, so the class is
 generated exactly once; its weight then follows by orbit-stabilizer from
-the parent's, with no canonical labelling.  Theorem sweeps and
-`ratio_extremes`, which name no class, take their classes that way: only
-children whose ties span two orbits are labelled canonically (none up to
-n = 6, 40 up to n = 7 and 740 up to n = 8, against 12486 calls to name
-every class up to n = 8).
+the parent's, with no canonical labelling.  Theorem sweeps, surveys and
+`ratio_extremes` take their classes that way: only children whose ties
+span two orbits are labelled canonically (none up to n = 6, 40 up to
+n = 7 and 740 up to n = 8, against 12486 calls to name every class up
+to n = 8).
 
 Surveys, ratio sweeps and theorem sweeps all run through `class_sweep`,
 which holds the census cap and fans each level out over `--threads`
 workers.  They solve each class once and add up the weights, so their
 counts are those of the labeled census.  A survey row keeps the lowest
-mask with its (dim, edim) as a graph6 example; that mask is a canonical
-one.  The graphs attaining the extreme ratio are every relabelling of
-the attaining classes, listed in ascending mask order.  Aggregation is
-order-independent, so multi-process runs merge to identical output.
+mask with its (dim, edim) as a graph6 example; that mask is the least
+canonical mask of the row's classes, and the independence number α
+finds it with few canonical labellings.  With off(i) = i(2n - i - 1)/2
+the first mask bit of label i's row, a class on n >= 2 vertices has its
+canonical mask in [2^off(n-1-α), 2^off(n-α)): a largest independent set
+on labels n-α..n-1 leaves every row from n-α up empty, and in every
+labelling the α + 1 labels n-1-α..n-1 hold an edge.  The ranges are
+disjoint and fall as α grows, so only a row's classes of largest α are
+named (28 of 112 classes at n = 6, 85 of 853 at n = 7, 313 of 11117 at
+n = 8).  The graphs attaining the extreme ratio are every relabelling
+of the attaining classes, listed in ascending mask order.  Aggregation
+is order-independent, so multi-process runs merge to identical output.
 """
 
 from dataclasses import dataclass
@@ -388,38 +396,58 @@ def labeled_masks(n: int, mask: int) -> list[int]:
     return sorted(found)
 
 
-def _survey_block(job) -> list[tuple[int, int, int, int]]:
-    """(mask, weight, dim, edim) of each class in one block."""
+def _independence_number(adj, left: int | None = None) -> int:
+    """α: the most pairwise non-adjacent vertices among the vertex mask
+    `left` (default all) of the graph with these adjacency bitmasks.
+
+    A largest independent set either holds the lowest vertex v of `left`
+    and none of its neighbours, or misses v; when v has no neighbour in
+    `left`, holding it is never worse."""
+    if left is None:
+        left = (1 << len(adj)) - 1
+    if not left:
+        return 0
+    low = left & -left
+    rest = left ^ low
+    nbrs = adj[low.bit_length() - 1] & rest
+    held = 1 + _independence_number(adj, rest & ~nbrs)
+    return max(held, _independence_number(adj, rest)) if nbrs else held
+
+
+def _survey_block(job) -> list[tuple[int, int, int, int, int]]:
+    """(mask, weight, dim, edim, α) of each class in one block."""
     n, classes = job
     out = []
     for mask, weight in classes:
         g = _connected_graph_from_mask(n, mask)
-        out.append((mask, weight, _problem(g, False).value(), _problem(g, True).value()))
+        dim, edim = _problem(g, False).value(), _problem(g, True).value()
+        out.append((mask, weight, dim, edim, _independence_number(g.adj_bits)))
     return out
 
 
-def class_sweep(block_fn, n_lo: int, n_max: int, threads: int, *args, canonical: bool = True):
+def class_sweep(block_fn, n_lo: int, n_max: int, threads: int, *args):
     """Yield (n, block results) for n = n_lo..n_max.
 
     Each level's classes are split into contiguous blocks, and
     block_fn((n, block, *args)) runs on every block, in-process or on up
     to `threads` workers; the results come back in block order.  The
-    classes are `_class_levels(n_max, canonical)`'s.
+    classes are `_class_levels(n_max, canonical=False)`'s: no caller
+    depends on which graph stands for a class.
     """
     _check_enum_n(n_max, CENSUS_MAX_N, "census")
     if n_lo > n_max:
         raise BadParamsError(f"nothing to sweep below n={n_lo}, got n_max={n_max}")
-    for n, classes in _class_levels(n_max, canonical):
+    for n, classes in _class_levels(n_max, canonical=False):
         if n >= n_lo:
             jobs = [(n, block, *args) for block in item_blocks(classes, threads)]
             yield n, run_blocks(block_fn, jobs, threads)
 
 
-def _solved_classes(n: int, threads: int, canonical: bool = True) -> list[tuple[int, int, int, int]]:
-    """(mask, weight, dim, edim) of every class on n vertices, in ascending
-    mask order; the classes are `_class_levels(n, canonical)`'s."""
+def _solved_classes(n: int, threads: int) -> list[tuple[int, int, int, int, int]]:
+    """(mask, weight, dim, edim, α) of every class on n vertices, in
+    ascending mask order; the classes are `class_sweep`'s."""
     return [
-        row for _, blocks in class_sweep(_survey_block, n, n, threads, canonical=canonical)
+        row for _, blocks in class_sweep(_survey_block, n, n, threads)
         for block in blocks for row in block
     ]
 
@@ -427,17 +455,31 @@ def _solved_classes(n: int, threads: int, canonical: bool = True) -> list[tuple[
 def survey_triples(n: int, threads: int = 1) -> list[SurveyRow]:
     """(dim, edim) census over all labeled connected graphs on n vertices.
 
-    Each isomorphism class is solved once and counted with its weight.
+    Each isomorphism class is solved once and counted with its weight; the
+    classes are `_class_levels(n, canonical=False)`'s, most of them unnamed.
+    A row's example is its lowest labeled mask, the least canonical mask
+    of its classes, and only the row's classes of largest independence
+    number α go to `canonical_mask`.  That is exact: with
+    off(i) = i(2n - i - 1)/2 the first mask bit of label i's row, a class's
+    canonical mask lies in [2^off(n-1-α), 2^off(n-α)) for n >= 2.  A
+    largest independent set on labels n-α..n-1 leaves every row from n-α
+    up empty, so its mask is below 2^off(n-α); in every labelling the
+    α + 1 labels n-1-α..n-1 hold an edge, so every mask is at least
+    2^off(n-1-α).  These ranges are disjoint and fall as α grows.  The
+    least of the named masks does not depend on the order of the blocks.
     """
-    merged: dict[tuple[int, int], tuple[int, int]] = {}
-    for mask, weight, dim, edim in _solved_classes(n, threads):
-        # masks ascend, so the first mask of a key is its lowest
-        count, example = merged.get((dim, edim), (0, mask))
-        merged[dim, edim] = (count + weight, example)
+    classes_of: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for mask, weight, dim, edim, alpha in _solved_classes(n, threads):
+        classes_of.setdefault((dim, edim), []).append((alpha, mask, weight))
     rows = []
-    for (dim, edim), (count, mask) in sorted(merged.items()):
-        example = write_graph6(_connected_graph_from_mask(n, mask))
-        rows.append(SurveyRow(n, dim, edim, count, example))
+    for (dim, edim), classes in sorted(classes_of.items()):
+        top = max(classes)[0]
+        example = min(
+            canonical_mask(n, _graph_of_mask(n, mask).adj_bits)[0]
+            for alpha, mask, _ in classes if alpha == top
+        )
+        count = sum(weight for *_, weight in classes)
+        rows.append(SurveyRow(n, dim, edim, count, write_graph6(_connected_graph_from_mask(n, example))))
     return rows
 
 
@@ -446,12 +488,11 @@ def ratio_extremes(n: int, threads: int = 1) -> tuple[Fraction, list[str]]:
 
     Graphs with dim = 0 (the single-vertex graph) are excluded.  Returns the
     exact ratio and the graph6 encodings of all maximizing labeled graphs,
-    in ascending mask order: every relabelling of every maximizing class.
-    Those do not depend on which graph stands for a class, so it takes the
-    classes with canonical=False.
+    in ascending mask order: every relabelling of every maximizing class,
+    whichever graph stands for it.
     """
-    solved = _solved_classes(n, threads, canonical=False)
-    ratios = {mask: Fraction(edim, dim) for mask, _, dim, edim in solved if dim}
+    solved = _solved_classes(n, threads)
+    ratios = {mask: Fraction(edim, dim) for mask, _, dim, edim, _ in solved if dim}
     if not ratios:
         raise BadParamsError(f"no graph with dim > 0 exists at n={n}")
     best = max(ratios.values())

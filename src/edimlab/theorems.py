@@ -369,12 +369,12 @@ def sweep_theorem(theorem_id: str, n_max: int, threads: int = 1, m: int = 2) -> 
     the checker runs again on each of its labeled graphs, and each is
     counted and reported on its own, so the counts, failures and
     certificates are those of a sweep over every labeled graph.  None of
-    this depends on which graph stands for a class, so the sweep takes the
-    classes with canonical=False: a class that the orbit test shows is
-    generated once is keyed by the mask it was generated with, not its
-    lowest, and only children whose ties span two orbits are labelled (see
-    `experiments._class_levels`).  A sweep whose n_max is below the
-    checker's min_n would check nothing, and is refused.
+    this depends on which graph stands for a class, so the sweep takes
+    `class_sweep`'s classes, those of canonical=False: a class that the
+    orbit test shows is generated once is keyed by the mask it was
+    generated with, not its lowest, and only children whose ties span two
+    orbits are labelled (see `experiments._class_levels`).  A sweep whose
+    n_max is below the checker's min_n would check nothing, and is refused.
     """
     if theorem_id not in CHECKS:
         raise KeyError(f"unknown sweepable theorem {theorem_id!r}")
@@ -383,9 +383,7 @@ def sweep_theorem(theorem_id: str, n_max: int, threads: int = 1, m: int = 2) -> 
     total: Counter = Counter()
     per_n = []
     failures: list[TheoremReport] = []
-    levels = class_sweep(
-        _sweep_block, CHECKS[theorem_id].min_n, n_max, threads, theorem_id, m, canonical=False
-    )
+    levels = class_sweep(_sweep_block, CHECKS[theorem_id].min_n, n_max, threads, theorem_id, m)
     for n, blocks in levels:
         counts: Counter = Counter()
         for block_counts, block_failures in blocks:

@@ -384,6 +384,49 @@ def test_families_over_the_pair_bit_cap_are_refused_unbuilt(monkeypatch, capsys,
     assert capsys.readouterr() == ("", err)
 
 
+# compute of named families over the pair-bit cap, at sizes that build fast
+_FAMILY_OVER_CAP = [
+    ("edim", "complete", ["150"]),
+    ("joint", "complete", ["150"]),
+    ("dim", "path", ["2100"]),
+    ("dim", "cycle", ["2100"]),
+    ("dim", "star", ["2100"]),
+    ("edim", "complete_bipartite", ["100", "100"]),
+    ("edim", "grid", ["40", "40"]),
+]
+
+
+def _unbuilt(name, params):
+    raise AssertionError(f"the family graph {name} {params} was built")
+
+
+@pytest.mark.parametrize("kind, family, params", _FAMILY_OVER_CAP,
+                         ids=[" ".join([c[0], c[1], *c[2]]) for c in _FAMILY_OVER_CAP])
+def test_named_families_over_the_pair_bit_cap_are_refused_unbuilt(monkeypatch, capsys, kind, family, params):
+    from edimlab import cli, resolver
+    from edimlab.constructions import standard_family
+    from edimlab.errors import NTooLargeError
+
+    # the refusal the solver's guard gives on the built graph
+    g = standard_family(family, [int(p) for p in params])
+    with pytest.raises(NTooLargeError) as built:
+        if kind == "joint":
+            resolver.min_joint_cover(g)
+        else:
+            resolver._problem(g, kind == "edim")
+    monkeypatch.setattr(cli, "standard_family", _unbuilt)
+    assert main(["compute", kind, "--construct", family, *params]) == 2
+    assert capsys.readouterr() == ("", f"error: {built.value}\n")
+
+
+def test_complete_4096_is_refused_from_its_counts(monkeypatch, capsys):
+    from edimlab import cli
+
+    monkeypatch.setattr(cli, "standard_family", _unbuilt)
+    assert main(["compute", "edim", "--construct", "complete", "4096"]) == 2
+    assert capsys.readouterr() == ("", _over_cap(4096, 8386560, 144044810745937920))
+
+
 def test_families_within_the_pair_bit_cap_are_built_and_solved(capsys):
     # F_6's edim instance is the largest within the cap; its dim and H_2's joint solve
     assert main(["compute", "dim", "--construct", "F", "6"]) == 0

@@ -31,6 +31,7 @@ from edimlab.constructions import (
     MAX_FK_K,
     _path_product_edge_levels,
     _path_product_problem,
+    _standard_counts,
     witness_from_joint_cover,
 )
 from edimlab.experiments import _graph_of_mask
@@ -304,6 +305,7 @@ PLAIN_FAMILIES = (
 def test_standard_family_matches_a_plain_builder(name, params, expected):
     g = standard_family(name, params)
     assert (g.n, g.edges) == expected
+    assert _standard_counts(name, params) == (g.n, g.m)
 
 
 def test_standard_family_rejects_bad_input():
@@ -319,8 +321,9 @@ def test_standard_family_rejects_bad_input():
         ("complete", ["3"]),
     ]
     for name, params in bad:
-        with pytest.raises(BadParamsError):
-            standard_family(name, params)
+        for build in (standard_family, _standard_counts):
+            with pytest.raises(BadParamsError):
+                build(name, params)
     over_the_cap = [
         ("path", [4097], 4097),
         ("cycle", [4097], 4097),
@@ -333,8 +336,9 @@ def test_standard_family_rejects_bad_input():
         ("grid", [10**6, 10**6], 10**12),
     ]
     for name, params, order in over_the_cap:
-        with pytest.raises(BadParamsError, match=f"would have {order} vertices, cap is 4096"):
-            standard_family(name, params)
+        for build in (standard_family, _standard_counts):
+            with pytest.raises(BadParamsError, match=f"would have {order} vertices, cap is 4096"):
+                build(name, params)
 
 
 def test_product_upper_witness_examples():

@@ -27,6 +27,7 @@ from edimlab.experiments import (
     _automorphisms,
     _class_levels,
     _graph_of_mask,
+    _independence_number,
     _one_orbit,
     _orbit_minima,
     _pieces_without,
@@ -183,9 +184,8 @@ def test_sweep_levels_at_n8_are_the_canonical_levels():
     assert sum(weight for _, weight in sweep) == A001187[8]
 
 
-# the sweep mode names only children whose tied vertices span two orbits
-@pytest.mark.parametrize("n, calls", [(6, {True: 142, False: 0}), (7, {True: 1015, False: 40})])
-def test_sweep_levels_call_canonical_mask_only_for_tied_children(monkeypatch, n, calls):
+def _canonical_mask_calls(monkeypatch) -> list:
+    """The arguments of each later call of experiments.canonical_mask."""
     seen = []
 
     def spy(*args):
@@ -193,6 +193,13 @@ def test_sweep_levels_call_canonical_mask_only_for_tied_children(monkeypatch, n,
         return canonical_mask(*args)
 
     monkeypatch.setattr(experiments, "canonical_mask", spy)
+    return seen
+
+
+# the sweep mode names only children whose tied vertices span two orbits
+@pytest.mark.parametrize("n, calls", [(6, {True: 142, False: 0}), (7, {True: 1015, False: 40})])
+def test_sweep_levels_call_canonical_mask_only_for_tied_children(monkeypatch, n, calls):
+    seen = _canonical_mask_calls(monkeypatch)
     for canonical, want in calls.items():
         seen.clear()
         for _ in _class_levels(n, canonical):
@@ -333,6 +340,48 @@ def test_survey_full_edim_rows_pass_condition():
         for row in survey_triples(n):
             g = parse_graph6(row.example_graph6)
             assert full_edim_condition(g)[0] == (row.edim == n - 1)
+
+
+def test_independence_number_is_the_networkx_clique_number_of_the_complement():
+    nx = pytest.importorskip("networkx")
+    for n, classes in _class_levels(7):
+        for mask, _ in classes:
+            g = _graph_of_mask(n, mask)
+            h = nx.complement(nx.Graph(g.edges))
+            h.add_nodes_from(range(n))
+            assert _independence_number(g.adj_bits) == max(map(len, nx.find_cliques(h))), (n, mask)
+
+
+def _assert_canonical_masks_in_the_alpha_bracket(n, classes):
+    """2^off(n-1-α) <= canonical mask < 2^off(n-α), off(i) the first bit of label i's row."""
+    def off(i):
+        return i * (2 * n - i - 1) // 2
+
+    for mask, _ in classes:
+        alpha = _independence_number(_graph_of_mask(n, mask).adj_bits)
+        assert 1 << off(n - 1 - alpha) <= mask < 1 << off(n - alpha), (n, mask, alpha)
+
+
+def test_canonical_masks_lie_in_the_bracket_of_their_independence_number():
+    # the survey names only each row's classes of largest α: the brackets
+    # are disjoint and fall as α grows
+    for n, classes in _class_levels(7):
+        if n >= 2:
+            _assert_canonical_masks_in_the_alpha_bracket(n, classes)
+
+
+@pytest.mark.extended
+def test_canonical_masks_at_n8_lie_in_the_alpha_bracket():
+    _assert_canonical_masks_in_the_alpha_bracket(8, connected_classes(8))
+
+
+# class generation's calls for ties spanning two orbits (0 at n <= 6, 40 at
+# n <= 7), plus one per class of largest α in each (dim, edim) row
+@pytest.mark.parametrize("n, calls", [(6, 28), (7, 125)])
+def test_survey_calls_canonical_mask_for_the_largest_alpha_classes_only(monkeypatch, n, calls):
+    seen = _canonical_mask_calls(monkeypatch)
+    survey_triples(n)
+    assert len(seen) == calls
 
 
 def test_survey_threads_equivalence():

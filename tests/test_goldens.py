@@ -1,10 +1,10 @@
 """Pinned outputs: SHA-256 digests of CLI stdout, reports and census results.
 
 The digests pin the bytes of every sweepable statement's n <= 5 sweep, the
-product sweeps with m = 3 at n <= 6 and with m = 4 at n <= 5, the n = 5
-survey, the F_k and H_k certifications and the ratio extremes, so a
-refactor that changes any of them fails here.  Each command runs in
-process through `cli.main`.
+product sweeps with m = 3 at n <= 6 and with m = 4 at n <= 5, the n = 5, 6
+and 7 surveys (with the n = 7 CSV and its manifest), the F_k and H_k
+certifications and the ratio extremes, so a refactor that changes any of
+them fails here.  Each command runs in process through `cli.main`.
 """
 
 import argparse
@@ -76,7 +76,18 @@ KMAX3 = {
     ),
 }
 
-SURVEY5 = "a0205bba2832b8b142736b7736d9fe12334f48ed5c3597845cc0cc383fa3cef6"
+# n -> stdout of `survey N`
+SURVEY = {
+    5: "a0205bba2832b8b142736b7736d9fe12334f48ed5c3597845cc0cc383fa3cef6",
+    6: "6e2d2437fdc1e727e442a12c151809eba6e6d834cfafb9048b586660dca77976",
+    7: "ef031623b6e19736341452d8d2f39581c54ecea510ce8c1ea0d0afcf8f519efe",
+}
+
+# (CSV, .manifest.json) of `survey 7 -o survey7.csv`
+SURVEY7_OUT = (
+    "ef031623b6e19736341452d8d2f39581c54ecea510ce8c1ea0d0afcf8f519efe",
+    "4df3b7cd864f46905e22fe5eb9aa823faa6f30a6ae4563b051abd979047d384d",
+)
 
 # "\n".join(repr(ratio_extremes(n)) for n = 2..5)
 RATIO2TO5 = "b423bbb3985c8cac53615176bcbfc902a8503d937ba33b10c0f51659cac03636"
@@ -120,8 +131,21 @@ def test_family_certificates_are_pinned(family, tmp_path):
 
 
 def test_survey_is_pinned():
-    code, out = _run(["survey", "5"])
-    assert (code, _sha(out)) == (0, SURVEY5)
+    for n, digest in SURVEY.items():
+        code, out = _run(["survey", str(n)])
+        assert (code, _sha(out)) == (0, digest), n
+
+
+def test_survey_is_the_same_at_two_threads():
+    assert _run(["--threads", "2", "survey", "6"]) == _run(["--threads", "1", "survey", "6"])
+
+
+def test_survey_output_file_and_manifest_are_pinned(tmp_path):
+    csv = tmp_path / "survey7.csv"
+    code, out = _run(["survey", "7", "-o", str(csv)])
+    assert (code, out) == (0, f"wrote {csv} (15 rows)\n")
+    manifest = csv.with_name(csv.name + ".manifest.json")
+    assert (_sha(csv.read_text()), _sha(manifest.read_text())) == SURVEY7_OUT
 
 
 def test_ratio_extremes_are_pinned():
