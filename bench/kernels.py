@@ -27,17 +27,17 @@ from the greedy bound _Cover.value starts it from and from the optimum
 resolver._covers yields at the optimum.  It exits 1 if a branch-and-bound
 value is not _Cover.value's.  The graphs' distances, and the factor's
 edge levels, are computed before any timing.  For each N of --census
-(default 6) it times class generation in both modes:
-experiments._class_levels(N), which names every class by canonical_mask,
-and _class_levels(N, canonical=False), the theorem sweeps' mode, which
-calls it only for children whose tied top-ranked non-cut vertices span
-two orbits; and in each mode experiments.canonical_mask over every child
-that run names, experiments._orbit_minima over every parent it lists the
-automorphisms of, and experiments._one_orbit, the orbit test, over every
-child whose new vertex ties a non-cut vertex in rank (the sweep mode
-only).  Their objects are the classes on N vertices, the children (so the
-canonical_mask and _one_orbit lines give each mode's call counts) and the
-parents.  It then times the survey's naming step on the sweep mode's
+(default 6) it times class generation, experiments._class_levels(N),
+which calls canonical_mask only for children whose tied top-ranked
+non-cut vertices span two orbits; and experiments.canonical_mask over
+every child it names, experiments._orbit_minima over every parent it
+lists the automorphisms of, and experiments._one_orbit, the orbit test,
+over every child whose new vertex ties a non-cut vertex in rank.  Their
+objects are the classes on N vertices, the children (so the
+canonical_mask and _one_orbit lines give their call counts) and the
+parents.  It then times connected_classes(N)'s naming step:
+canonical_mask over every class on N vertices, whose object count is
+that step's call count.  Last it times the survey's naming step on the
 classes on N vertices, solved beforehand:
 experiments._independence_number over every class, then canonical_mask
 over each (dim, edim) row's classes of largest independence number, the
@@ -150,9 +150,9 @@ def gated_search(repeat: int, name: str, problem: str, cover) -> None:
     print(f"{name}\t{problem}\t{cover.n_obj}\twitness scan\t{secs:.6g}", flush=True)
 
 
-def census_calls(n: int, canonical: bool) -> dict[str, list[tuple]]:
+def census_calls(n: int) -> dict[str, list[tuple]]:
     """The arguments of every canonical_mask, _orbit_minima and _one_orbit
-    call that one run of _class_levels(n, canonical) makes."""
+    call that one run of _class_levels(n) makes."""
     calls: dict[str, list[tuple]] = {"canonical_mask": [], "_orbit_minima": [], "_one_orbit": []}
     real = {name: getattr(experiments, name) for name in calls}
 
@@ -165,7 +165,7 @@ def census_calls(n: int, canonical: bool) -> dict[str, list[tuple]]:
     for name in calls:
         setattr(experiments, name, recorder(name))
     try:
-        for _ in experiments._class_levels(n, canonical):
+        for _ in experiments._class_levels(n):
             pass
     finally:
         for name, fn in real.items():
@@ -174,16 +174,18 @@ def census_calls(n: int, canonical: bool) -> dict[str, list[tuple]]:
 
 
 def census(repeat: int, n: int) -> None:
-    """Time class generation up to n vertices and its two kernels, in both modes."""
+    """Time class generation up to n vertices and its kernels, then
+    connected_classes(n)'s naming of the classes on n vertices."""
     name = f"census{n}"
-    for canonical in (True, False):
-        mode = "" if canonical else "(canonical=False)"
-        secs, levels = best_of(repeat, lambda: list(experiments._class_levels(n, canonical)))
-        print(f"{name}\tgeneration\t{len(levels[-1][1])}\t_class_levels{mode}\t{secs:.6g}", flush=True)
-        for kernel, args in census_calls(n, canonical).items():
-            fn = getattr(experiments, kernel)
-            secs, _ = best_of(repeat, lambda: [fn(*a) for a in args])
-            print(f"{name}\tgeneration\t{len(args)}\t{kernel}{mode}\t{secs:.6g}", flush=True)
+    secs, levels = best_of(repeat, lambda: list(experiments._class_levels(n)))
+    print(f"{name}\tgeneration\t{len(levels[-1][1])}\t_class_levels\t{secs:.6g}", flush=True)
+    for kernel, args in census_calls(n).items():
+        fn = getattr(experiments, kernel)
+        secs, _ = best_of(repeat, lambda: [fn(*a) for a in args])
+        print(f"{name}\tgeneration\t{len(args)}\t{kernel}\t{secs:.6g}", flush=True)
+    adj = [experiments._graph_of_mask(n, mask).adj_bits for mask, _ in levels[-1][1]]
+    secs, _ = best_of(repeat, lambda: [experiments.canonical_mask(n, a) for a in adj])
+    print(f"{name}\tconnected_classes naming\t{len(adj)}\tcanonical_mask\t{secs:.6g}", flush=True)
 
 
 def survey_naming(repeat: int, n: int) -> None:

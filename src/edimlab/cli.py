@@ -247,6 +247,8 @@ def cmd_verify(args) -> int:
             raise BadParamsError(f"{theorem} needs --kmax from 1 to {MAX_FAMILY_K}")
         check = check_Fk_theorem if theorem == "fk" else check_Hk_theorem
         return _verify_single([check(k) for k in range(1, args.kmax + 1)], args.report)
+    if theorem == "product" and args.m is None:
+        raise BadParamsError("verify product needs --m M, at least 2")
     if args.graph or args.g:
         g = _parse_spec(args.g) if args.g else _read_graph_file(args.graph)
         return _verify_single([CHECKS[theorem].run(g, args.m)], args.report)

@@ -3,23 +3,23 @@
 Graphs on n vertices are encoded as adjacency bitmasks: pair (i, j) with
 i < j gets bit p in the lexicographic pair ordering.
 `enumerate_connected_graphs` streams every labeled graph in ascending
-mask order.  `connected_classes` lists one graph per isomorphism class:
-its canonical mask, the lowest mask over all its relabellings, with the
-weight n!/|Aut|, the number of labeled graphs in the class.  The classes
-on n vertices are grown from those on n - 1 by adding a vertex, and
-`canonical_mask` runs on about one child per class: the new vertex's
-neighbourhood must be least under the parent's automorphisms, and no
-vertex whose removal leaves the child connected may outrank the new one
+mask order.  `_class_levels` lists one graph per isomorphism class with
+the weight n!/|Aut|, the number of labeled graphs in the class.  The
+classes on n vertices are grown from those on n - 1 by adding a vertex,
+and most children are skipped: the new vertex's neighbourhood
+must be least under the parent's automorphisms, and no vertex whose
+removal leaves the child connected may outrank the new one
 (`_class_levels` gives the rules and why no class is lost).  When every
 such vertex that ties the new one is the new one's image under some
 automorphism of the child (the orbit test: `_automorphisms` with the new
 vertex pinned to it), the top-ranked ones form one orbit, so the class is
-generated exactly once; its weight then follows by orbit-stabilizer from
-the parent's, with no canonical labelling.  Theorem sweeps, surveys and
-`ratio_extremes` take their classes that way: only children whose ties
-span two orbits are labelled canonically (none up to n = 6, 40 up to
-n = 7 and 740 up to n = 8, against 12486 calls to name every class up
-to n = 8).
+generated exactly once; it keeps the child's own mask, and its weight
+follows by orbit-stabilizer from the parent's.  Only children whose ties
+span two orbits go to `canonical_mask` (none up to n = 6, 40 up to n = 7
+and 740 up to n = 8).  `connected_classes` names the classes of the one
+level it returns by their canonical masks, the lowest over all
+relabellings (112, 893 and 11857 `canonical_mask` calls up to n = 6, 7
+and 8, generation included).
 
 Surveys, ratio sweeps and theorem sweeps all run through `class_sweep`,
 which holds the census cap and fans each level out over `--threads`
@@ -301,7 +301,7 @@ def _mask_of(adj) -> int:
     return mask
 
 
-def _class_levels(n_max: int, canonical: bool = True):
+def _class_levels(n_max: int):
     """Yield (n, classes) for n = 1..n_max: (mask, n!/|Aut|) per class, by mask.
 
     Each class on n >= 2 vertices is built from a class on n-1 vertices,
@@ -325,25 +325,21 @@ def _class_levels(n_max: int, canonical: bool = True):
     outranks w and the child is kept.  Every kept child is connected, so
     the levels hold exactly the classes.
 
-    With canonical=True every kept child goes to `canonical_mask`, which
-    names its class by the lowest mask and counts its automorphisms; ties
-    in rank can keep more than one child of a class, and they merge by
-    mask.  That is the level `connected_classes` returns.  With
-    canonical=False, take the child as G, let `tied` be the parent's
-    vertices that are non-cut in G and tie w in rank, and T = |tied| + 1
-    the number of G's top-ranked non-cut vertices.  When automorphisms of
-    G map w to every vertex of `tied` (`_one_orbit`; true when `tied` is
-    empty), those T vertices form w's orbit under Aut(G), since
-    automorphisms keep rank and non-cut vertices.  Every choice of v above then
-    gives the same parent P and the same least set S, so the class is
-    generated exactly once, and is keyed by the child's own mask.  The
-    stabilizer of w in Aut(G) is the stabilizer of S in Aut(P), so by
-    orbit-stabilizer |Aut(G)| = T (n-1)!/(weight(P) |orbit(S)|), and the
-    weight is n weight(P) |orbit(S)|/T.  Whether the top-ranked non-cut
-    vertices form one orbit is a property of G, so a class whose ties span
-    two orbits is reached only through children that fail the test, which
-    keep the `canonical_mask` call.  The levels hold the same classes with
-    the same weights, some named by other masks.
+    Take a kept child as G, let `tied` be the parent's vertices that are
+    non-cut in G and tie w in rank, and T = |tied| + 1 the number of G's
+    top-ranked non-cut vertices.  When automorphisms of G map w to every
+    vertex of `tied` (`_one_orbit`; true when `tied` is empty), those T
+    vertices form w's orbit under Aut(G), since automorphisms keep rank
+    and non-cut vertices.  Every choice of v above then gives the same
+    parent P and the same least set S, so the class is generated exactly
+    once, and is keyed by the child's own mask.  The stabilizer of w in
+    Aut(G) is the stabilizer of S in Aut(P), so by orbit-stabilizer
+    |Aut(G)| = T (n-1)!/(weight(P) |orbit(S)|), and the weight is
+    n weight(P) |orbit(S)|/T.  Whether the top-ranked non-cut vertices
+    form one orbit is a property of G, so a class whose ties span two
+    orbits is reached only through children that fail the test.  Those go
+    to `canonical_mask`, which names the class by its lowest mask and
+    counts its automorphisms, and they merge by mask.
     """
     level = [(0, 1)]
     yield 1, level
@@ -362,7 +358,7 @@ def _class_levels(n_max: int, canonical: bool = True):
                 tied = _rival(child, pieces)
                 if tied is None:
                     continue
-                if canonical or tied and not _one_orbit(child, tied):
+                if tied and not _one_orbit(child, tied):
                     mask, aut = canonical_mask(n, child)
                     weights[mask] = total // aut
                 else:
@@ -375,12 +371,13 @@ def connected_classes(n: int) -> list[tuple[int, int]]:
     """One connected graph per isomorphism class on n vertices.
 
     Returns (canonical mask, n!/|Aut|) pairs in ascending mask order; the
-    weights add up to the number of labeled connected graphs.
+    weights add up to the number of labeled connected graphs.  Only this
+    level's classes are renamed by `canonical_mask`.
     """
     _check_enum_n(n)
     for _, level in _class_levels(n):
         pass
-    return level
+    return sorted((canonical_mask(n, _graph_of_mask(n, mask).adj_bits)[0], weight) for mask, weight in level)
 
 
 def labeled_masks(n: int, mask: int) -> list[int]:
@@ -431,13 +428,14 @@ def class_sweep(block_fn, n_lo: int, n_max: int, threads: int, *args):
     Each level's classes are split into contiguous blocks, and
     block_fn((n, block, *args)) runs on every block, in-process or on up
     to `threads` workers; the results come back in block order.  The
-    classes are `_class_levels(n_max, canonical=False)`'s: no caller
-    depends on which graph stands for a class.
+    classes are `_class_levels(n_max)`'s, most of them keyed by the mask
+    they were generated with: no caller depends on which graph stands for
+    a class.
     """
     _check_enum_n(n_max, CENSUS_MAX_N, "census")
     if n_lo > n_max:
         raise BadParamsError(f"nothing to sweep below n={n_lo}, got n_max={n_max}")
-    for n, classes in _class_levels(n_max, canonical=False):
+    for n, classes in _class_levels(n_max):
         if n >= n_lo:
             jobs = [(n, block, *args) for block in item_blocks(classes, threads)]
             yield n, run_blocks(block_fn, jobs, threads)
@@ -456,7 +454,7 @@ def survey_triples(n: int, threads: int = 1) -> list[SurveyRow]:
     """(dim, edim) census over all labeled connected graphs on n vertices.
 
     Each isomorphism class is solved once and counted with its weight; the
-    classes are `_class_levels(n, canonical=False)`'s, most of them unnamed.
+    classes are `_class_levels(n)`'s, most of them unnamed.
     A row's example is its lowest labeled mask, the least canonical mask
     of its classes, and only the row's classes of largest independence
     number α go to `canonical_mask`.  That is exact: with

@@ -283,6 +283,8 @@ def test_exit_code_2_on_out_of_range_sweep_and_family(argv, capsys):
     assert main(list(argv)) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:")
+    if argv == ("verify", "product", "--sweep", "3"):
+        assert err == "error: verify product needs --m M, at least 2\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -99,11 +99,11 @@ def _relabelled_masks(n, edges):
 
 def test_class_counts_and_weights_match_oeis():
     for n, classes in _class_levels(7):
-        assert len(classes) == A001349[n]
-        assert sum(weight for _, weight in classes) == A001187[n]
-        masks = [mask for mask, _ in classes]
-        assert masks == sorted(set(masks))
-    assert connected_classes(5) == list(_class_levels(5))[-1][1]
+        for level in (classes, connected_classes(n)):
+            assert len(level) == A001349[n]
+            assert sum(weight for _, weight in level) == A001187[n]
+            masks = [mask for mask, _ in level]
+            assert masks == sorted(set(masks))
 
 
 @pytest.mark.extended
@@ -133,8 +133,16 @@ def _unpruned_class_levels(n_max):
         yield n, level
 
 
+def _levels_named_canonically(n_max):
+    """_class_levels(n_max), each class renamed by its lowest mask."""
+    for n, classes in _class_levels(n_max):
+        yield n, sorted((canonical_mask(n, _graph_of_mask(n, mask).adj_bits)[0], w) for mask, w in classes)
+
+
 def test_pruned_class_levels_equal_the_unpruned_loop():
-    assert list(_class_levels(7)) == list(_unpruned_class_levels(7))
+    # a class generated once is keyed by its own labelled mask and weighed
+    # by orbit-stabilizer; renamed, the levels are the unpruned loop's
+    assert list(_levels_named_canonically(7)) == list(_unpruned_class_levels(7))
 
 
 def test_orbit_minima_are_every_vertex_set_exactly_for_rigid_classes():
@@ -157,31 +165,21 @@ def test_orbit_sizes_times_stabilizers_are_the_automorphism_count():
                 assert orbit * len(stabilizer) == len(auts) == factorial(n) // weight
 
 
-def _sweep_levels_named_canonically(n_max):
-    """_class_levels(n_max, canonical=False), each class renamed by its lowest mask."""
-    for n, classes in _class_levels(n_max, canonical=False):
-        masks = [mask for mask, _ in classes]
-        assert masks == sorted(set(masks))
-        named = [(canonical_mask(n, _graph_of_mask(n, mask).adj_bits)[0], w) for mask, w in classes]
-        yield n, sorted(named)
-
-
 def test_sweep_levels_are_the_canonical_levels_class_for_class():
-    # a class generated once is keyed by its own labelled mask and weighed
-    # by orbit-stabilizer; renamed, the levels are connected_classes'
-    sweep = list(_sweep_levels_named_canonically(7))
-    assert sweep == list(_class_levels(7))
-    for n, classes in sweep:
-        assert len(classes) == A001349[n]
-        assert sum(weight for _, weight in classes) == A001187[n]
+    # the sweeps read _class_levels' labelled representatives; renamed, each
+    # level is connected_classes' class for class, with the same weights
+    for n, named in _levels_named_canonically(7):
+        assert named == connected_classes(n)
+        assert len(named) == A001349[n]
+        assert sum(weight for _, weight in named) == A001187[n]
 
 
 @pytest.mark.extended
 def test_sweep_levels_at_n8_are_the_canonical_levels():
-    sweep = list(_sweep_levels_named_canonically(8))[-1][1]
-    assert sweep == connected_classes(8)
-    assert len(sweep) == A001349[8]
-    assert sum(weight for _, weight in sweep) == A001187[8]
+    named = list(_levels_named_canonically(8))[-1][1]
+    assert named == list(_unpruned_class_levels(8))[-1][1]
+    assert len(named) == A001349[8]
+    assert sum(weight for _, weight in named) == A001187[8]
 
 
 def _canonical_mask_calls(monkeypatch) -> list:
@@ -196,20 +194,24 @@ def _canonical_mask_calls(monkeypatch) -> list:
     return seen
 
 
-# the sweep mode names only children whose tied vertices span two orbits
-@pytest.mark.parametrize("n, calls", [(6, {True: 142, False: 0}), (7, {True: 1015, False: 40})])
+# generation names only children whose tied vertices span two orbits, and
+# connected_classes renames the one level it returns
+@pytest.mark.parametrize("n, calls", [
+    (6, {"_class_levels": 0, "connected_classes": 112}),
+    (7, {"_class_levels": 40, "connected_classes": 893}),
+])
 def test_sweep_levels_call_canonical_mask_only_for_tied_children(monkeypatch, n, calls):
     seen = _canonical_mask_calls(monkeypatch)
-    for canonical, want in calls.items():
-        seen.clear()
-        for _ in _class_levels(n, canonical):
-            pass
-        assert len(seen) == want, canonical
+    list(_class_levels(n))
+    assert len(seen) == calls["_class_levels"]
+    seen.clear()
+    connected_classes(n)
+    assert len(seen) == calls["connected_classes"]
 
 
 def _tied_children(n):
     """(child, tied) for every kept child on n vertices with a tied top,
-    as the sweep mode's loop builds them."""
+    as `_class_levels`' loop builds them."""
     new = 1 << (n - 1)
     for parent, _ in list(_class_levels(n - 1))[-1][1]:
         adj = _graph_of_mask(n - 1, parent).adj_bits
@@ -286,8 +288,8 @@ def test_classes_match_the_networkx_atlas():
             nodes = sorted(h.nodes())
             edges = [(nodes.index(u), nodes.index(v)) for u, v in h.edges()]
             atlas[n].add(canonical_mask(n, _adj_bits(n, edges))[0])
-    for n, classes in _class_levels(7):
-        assert {mask for mask, _ in classes} == atlas[n]
+    for n in atlas:
+        assert {mask for mask, _ in connected_classes(n)} == atlas[n]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -365,9 +367,8 @@ def _assert_canonical_masks_in_the_alpha_bracket(n, classes):
 def test_canonical_masks_lie_in_the_bracket_of_their_independence_number():
     # the survey names only each row's classes of largest α: the brackets
     # are disjoint and fall as α grows
-    for n, classes in _class_levels(7):
-        if n >= 2:
-            _assert_canonical_masks_in_the_alpha_bracket(n, classes)
+    for n in range(2, 8):
+        _assert_canonical_masks_in_the_alpha_bracket(n, connected_classes(n))
 
 
 @pytest.mark.extended
@@ -432,8 +433,8 @@ def test_class_census_matches_a_labeled_reference(n):
 
 
 # SHA-256 of the witnesses' graph6 lines as ratio_extremes printed them on
-# the named classes: every relabelling of each maximising class, which the
-# sweep mode's other representatives must leave unchanged
+# canonically named classes: every relabelling of each maximising class,
+# which the generated representatives must leave unchanged
 RATIO_EXTREMES = {
     3: (Fraction(1), 4, "1cd627bfb40d865b9cb9db170c9cc42ed01a165e77c8b343af8c58ea5a6aa3c9"),
     4: (Fraction(3, 2), 6, "d7d7714b3dd19ee91428eb41e68f99dea73143c9746fe93f88f2184125ebacc8"),

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from collections import Counter
 from math import comb
 
@@ -28,8 +29,10 @@ from edimlab import (
     edge_metric_dimension,
     enumerate_connected_graphs,
     full_edim_condition,
+    is_connected,
     is_edge_generator,
     join_K1_predicate,
+    max_degree,
     metric_dimension,
     min_joint_cover,
     parse_graph6,
@@ -39,7 +42,7 @@ from edimlab import (
 )
 from edimlab import resolver, theorems
 from edimlab.constructions import _path_product_problem, join, witness_from_joint_cover
-from edimlab.experiments import _graph_of_mask, connected_classes
+from edimlab.experiments import _class_levels, _graph_of_mask, connected_classes
 from edimlab.theorems import FAILS, HOLDS, MAX_FAMILY_K, NOT_APPLICABLE, TheoremReport
 
 from conftest import complete, connected_graphs, cycle, neighbours_from_edges, path, star
@@ -237,6 +240,36 @@ def test_product_counterexample_to_the_minimum_bases_reading():
     assert check_product_theorem(g, 2).to_record() == F_QP_M2_RECORD
 
 
+# a G(13, 0.85) draw of the seeded graphs beyond the census (below)
+L13 = parse_graph6(r"L\]~r]h\z^v~~V")
+L13_RECORDS = {
+    m: f'product\tL\\]~r]h\\z^v~~V m={m}\tfails\t{{"edim_of_product": 11, "joint_k": 12, "m": {m}, '
+    f'"witness": [0, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, {last}], "witness_generates": true}}'
+    for m, last in ((2, 13), (3, 26))
+}
+# an edge generator of G x P_m with 11 landmarks, numbered as cartesian_path numbers them
+L13_PRODUCT_GENERATORS = {
+    2: (0, 3, 4, 5, 6, 7, 8, 9, 23, 24, 25),
+    3: (0, 3, 4, 5, 6, 7, 8, 9, 36, 37, 38),
+}
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_a_second_product_counterexample_at_n13(m):
+    # dim 5 and edim 11 bound edim(G x P_m) below by 11 (the projection
+    # bound), an 11-landmark generator bounds it above, and the joint cover
+    # over minimum bases has k = 12: edim of the product is k - 1, as for F~qP_
+    g = L13
+    assert (g.n, g.m) == (13, 60)
+    assert (metric_dimension(g).value, edge_metric_dimension(g).value) == (5, 11)
+    assert min_joint_cover(g) == (12, ((1, 3, 4, 6, 7), (0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)))
+    product = cartesian_path(g, m).graph
+    assert is_edge_generator(product, L13_PRODUCT_GENERATORS[m])
+    report = check_product_theorem(g, m)
+    assert report.to_record() == L13_RECORDS[m]
+    assert is_edge_generator(product, report.certificate["witness"])
+
+
 def test_the_product_edim_is_at_least_the_factors_dim_and_edim():
     # From landmark (u, i), two rungs between the same two copies of g are
     # separated exactly when u separates their vertices in g, and two edges
@@ -358,6 +391,87 @@ def test_product_checks_on_every_10th_class_at_n8_keep_their_records(m, digest):
     assert sum(r.verdict == FAILS for r in reports) == 13
     records = "\n".join(r.to_record() for r in reports)
     assert hashlib.sha256(records.encode()).hexdigest() == digest
+
+
+def _minimum_joint_witnesses(g, m):
+    """(k, every witness the product check could build on g x P_m from a
+    minimum joint cover): M = S u T over minimum vertex bases S and minimum
+    edge bases T with |M| = k, in the first copy, plus the last copy of
+    any vertex of M."""
+    vertex = [sum(1 << v for v in s) for s in metric_dimension(g, True).all_bases]
+    edge = [sum(1 << v for v in t) for t in edge_metric_dimension(g, True).all_bases]
+    unions = {s | t for s in vertex for t in edge}
+    k = min(u.bit_count() for u in unions)
+    firsts = [[v for v in range(g.n) if u >> v & 1] for u in sorted(unions) if u.bit_count() == k]
+    return k, [[*first, (m - 1) * g.n + x] for first in firsts for x in first]
+
+
+def _count_generating_joint_witnesses(levels):
+    """Check every minimum joint witness of every class for m = 2 and 3,
+    and count them."""
+    count = 0
+    for n, classes in levels:
+        for mask, _ in classes:
+            g = _graph_of_mask(n, mask)
+            k, cover = min_joint_cover(g)
+            for m in (2, 3):
+                product = _path_product_problem(g, m)
+                size, witnesses = _minimum_joint_witnesses(g, m)
+                assert size == k and sorted(witness_from_joint_cover(g, m, cover)) in witnesses
+                for witness in witnesses:
+                    assert product.generates(witness), (n, mask, m, witness)
+                count += len(witnesses)
+    return count
+
+
+def test_every_minimum_joint_witness_generates_the_product_up_to_n7():
+    # The check's witness comes from the lex-first joint cover, which
+    # depends on the labelling; since every choice generates, the product
+    # verdict is the same on every labelling of a class.
+    levels = [(n, classes) for n, classes in _class_levels(7) if n >= 2]
+    assert _count_generating_joint_witnesses(levels) == 2 * 28860
+
+
+@pytest.mark.extended
+def test_every_minimum_joint_witness_generates_the_product_at_n8():
+    levels = list(_class_levels(8))[-1:]
+    assert _count_generating_joint_witnesses(levels) == 2 * 491724
+
+
+def _beyond_the_census():
+    """G(n, p) for n = 9..14 at p = 0.25, 0.5 and 0.85, each redrawn until
+    connected, then G + K_1 of each p = 0.85 draw.  A string seed, which
+    random.Random hashes the same way in every process, gives the same
+    graphs everywhere."""
+    rng = random.Random("beyond:0")
+    graphs = []
+    for n in range(9, 15):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for p in (0.25, 0.5, 0.85):
+            g = build_graph(n, [e for e in pairs if rng.random() < p])
+            while not is_connected(g):
+                g = build_graph(n, [e for e in pairs if rng.random() < p])
+            graphs.append(g)
+    return graphs + [join(g, build_graph(1, [])) for g in graphs[2::3]]
+
+
+def test_every_statement_on_seeded_graphs_beyond_the_census():
+    graphs = _beyond_the_census()
+    assert len(graphs) == 24 and L13 in graphs
+    # the rare sides are reached: edim = n - 1 by the hub condition, and a universal vertex
+    assert sum(full_edim_condition(g)[0] for g in graphs) == 10
+    assert sum(max_degree(g) == g.n - 1 for g in graphs) == 11
+    failures = []
+    for theorem_id, checker in theorems.CHECKS.items():
+        verdicts = Counter()
+        for g in graphs:
+            report = checker.run(g, 2)
+            verdicts[report.verdict] += 1
+            if report.verdict == FAILS:
+                failures.append(report.to_record())
+        want = {HOLDS: 23, FAILS: 1} if theorem_id == "product" else {HOLDS: 24}
+        assert verdicts == want, theorem_id
+    assert failures == [L13_RECORDS[2]]
 
 
 @pytest.mark.parametrize("check", [
