@@ -31,18 +31,19 @@ edge levels, are computed before any timing.  For each N of --census
 which calls canonical_mask only for children whose tied top-ranked
 non-cut vertices span two orbits; and experiments.canonical_mask over
 every child it names, experiments._orbit_minima over every parent it
-lists the automorphisms of, and experiments._one_orbit, the orbit test,
-over every child whose new vertex ties a non-cut vertex in rank.  Their
-objects are the classes on N vertices, the children (so the
-canonical_mask and _one_orbit lines give their call counts) and the
-parents.  It then times connected_classes(N)'s naming step:
-canonical_mask over every class on N vertices, whose object count is
-that step's call count.  Last it times the survey's naming step on the
-classes on N vertices, solved beforehand:
-experiments._independence_number over every class, then canonical_mask
-over each (dim, edim) row's classes of largest independence number, the
-only ones survey_triples names; the objects are the classes and the
-canonical_mask calls.
+lists the automorphisms of, experiments._rival, the deletion rule, over
+every child it builds (those the degree rule keeps), and
+experiments._one_orbit, the orbit test, over every child whose new
+vertex ties a non-cut vertex in rank.  Their objects are the classes on
+N vertices, the children (so the canonical_mask, _rival and _one_orbit
+lines give their call counts) and the parents.  It then times
+connected_classes(N)'s naming step: canonical_mask over every class on
+N vertices, whose object count is that step's call count.  Last it
+times the survey's naming step on the classes on N vertices, solved
+beforehand: experiments._independence_number over every class, then
+canonical_mask over each (dim, edim) row's classes of largest
+independence number, the only ones survey_triples names; the objects are
+the classes and the canonical_mask calls.
 Prints one tab-separated line per input, problem and kernel: input,
 problem, objects, kernel, best seconds.  Each K must be 1 to
 theorems.MAX_FAMILY_K (6), the F_K whose edim fits the solvers' pair-bit
@@ -151,9 +152,11 @@ def gated_search(repeat: int, name: str, problem: str, cover) -> None:
 
 
 def census_calls(n: int) -> dict[str, list[tuple]]:
-    """The arguments of every canonical_mask, _orbit_minima and _one_orbit
-    call that one run of _class_levels(n) makes."""
-    calls: dict[str, list[tuple]] = {"canonical_mask": [], "_orbit_minima": [], "_one_orbit": []}
+    """The arguments of every canonical_mask, _orbit_minima, _rival and
+    _one_orbit call that one run of _class_levels(n) makes."""
+    calls: dict[str, list[tuple]] = {
+        name: [] for name in ("canonical_mask", "_orbit_minima", "_rival", "_one_orbit")
+    }
     real = {name: getattr(experiments, name) for name in calls}
 
     def recorder(name):

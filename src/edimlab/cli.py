@@ -18,6 +18,7 @@ from . import __version__
 from .constructions import (
     LabeledConstruction,
     _family_counts,
+    _path_product_counts,
     _standard_counts,
     cartesian_path,
     construct_F,
@@ -33,10 +34,11 @@ from .resolver import _pair_cap, edge_metric_dimension, metric_dimension, min_jo
 from .theorems import CHECKS, FAILS, MAX_FAMILY_K, check_Fk_theorem, check_Hk_theorem, sweep_theorem
 
 
-def _build_from_tokens(tokens, kind: str | None = None) -> LabeledConstruction | Graph:
-    """The graph the tokens name.  Given the `compute` kind to solve, a
-    family over the solvers' pair-bit cap is refused from its counts,
-    unbuilt."""
+def _build_from_tokens(tokens, instance=None) -> LabeledConstruction | Graph:
+    """The graph the tokens name.  Given `instance`, which maps the
+    graph's (vertices, edges) to the (landmarks, objects) of the first
+    cover-search instance the caller builds on it, a family over the
+    solvers' pair-bit cap is refused from its counts, unbuilt."""
     name, params = tokens[0], tokens[1:]
     try:
         ints = [int(p) for p in params]
@@ -45,10 +47,8 @@ def _build_from_tokens(tokens, kind: str | None = None) -> LabeledConstruction |
     fk = name in ("F", "H")
     if fk and len(ints) != 1:
         raise BadParamsError(f"{name} takes exactly one parameter k")
-    if kind is not None:
-        n, m = _family_counts(name, ints[0]) if fk else _standard_counts(name, ints)
-        # the objects that compute's solve guards: see resolver._problem and min_joint_cover
-        _pair_cap(n, {"dim": n, "edim": m, "joint": max(n, m)}[kind])
+    if instance is not None:
+        _pair_cap(*instance(*(_family_counts(name, ints[0]) if fk else _standard_counts(name, ints))))
     if fk:
         return (construct_F if name == "F" else construct_H)(ints[0])
     return standard_family(name, ints)
@@ -69,17 +69,35 @@ def _read_graph_file(name: str, fmt: str = "auto") -> Graph:
     return parse_graph_text(text, fmt)
 
 
-def _parse_spec(spec: str) -> Graph:
+# (landmarks, objects) of the first cover-search instance each check builds
+# on a graph of n vertices and e edges, for m path copies: the edge
+# instance, the vertex instance, the edge instance of g + K_1, or the
+# product's.  degree_lemmas builds one only when a vertex is universal.
+_FIRST_INSTANCE = {
+    "ncondition": lambda n, e, m: (n, e),
+    "corollary": lambda n, e, m: (n, e),
+    "vertex_bound": lambda n, e, m: (n, n),
+    "edge_bound": lambda n, e, m: (n, e),
+    "degree_lemmas": lambda n, e, m: (n, e),
+    "join": lambda n, e, m: (n + 1, e + n),
+    "product": _path_product_counts,
+}
+
+
+def _parse_spec(spec: str, instance=None) -> Graph:
     """Graph spec: a file path, or else an inline 'path:3', 'F:2', 'grid:3,4'.
 
     A spec naming an existing file is that file, even when it contains ':'.
+    Given `instance`, as `_build_from_tokens` reads it, an F:K or H:K spec
+    over the pair-bit cap is refused unbuilt: F_k and H_k each have a
+    universal vertex, so every check builds its first instance on them.
     """
     if Path(spec).exists():
         return _read_graph_file(spec)
     if ":" in spec:
         name, _, rest = spec.partition(":")
         params = rest.split(",") if rest else []
-        return _graph_of(_build_from_tokens([name, *params]))
+        return _graph_of(_build_from_tokens([name, *params], instance if name in ("F", "H") else None))
     raise BadParamsError(f"graph spec {spec!r} is neither 'family:params' nor an existing file")
 
 
@@ -97,7 +115,10 @@ def _load_input(args) -> Graph:
     if args.construct:
         if args.format != "auto":  # the default, which reads nothing
             raise BadParamsError("compute --construct does not read --format")
-        return _graph_of(_build_from_tokens(args.construct, args.kind))
+        # the objects that compute's solve guards: see resolver._problem and min_joint_cover
+        return _graph_of(_build_from_tokens(
+            args.construct, lambda n, m: (n, {"dim": n, "edim": m, "joint": max(n, m)}[args.kind])
+        ))
     if args.input:
         return _read_graph_file(args.input, args.format)
     raise BadParamsError("provide an input file or --construct")
@@ -250,7 +271,10 @@ def cmd_verify(args) -> int:
     if theorem == "product" and args.m is None:
         raise BadParamsError("verify product needs --m M, at least 2")
     if args.graph or args.g:
-        g = _parse_spec(args.g) if args.g else _read_graph_file(args.graph)
+        if args.g:
+            g = _parse_spec(args.g, lambda n, e: _FIRST_INSTANCE[theorem](n, e, args.m))
+        else:
+            g = _read_graph_file(args.graph)
         return _verify_single([CHECKS[theorem].run(g, args.m)], args.report)
     if args.sweep is None:
         raise BadParamsError("provide --graph, --g, or --sweep")

@@ -141,12 +141,17 @@ def cartesian_path(g: Graph, m: int) -> LabeledConstruction:
     return LabeledConstruction(_graph_from_edges(total, tuple(edges)), labels)
 
 
+def _path_product_counts(n: int, size: int, m) -> tuple[int, int]:
+    """(vertices, edges) of an n-vertex graph with `size` edges times an
+    m-copy path, after the checks of m and of the vertex cap."""
+    return _product_order(n, m), m * size + (m - 1) * n
+
+
 def _path_product_problem(g: Graph, m: int) -> _Cover:
     """The edge problem of g x P_m over its composed edge levels, once the
     refusals of the generic solve pass: m, the vertex cap, then resolver's
     guard (module docstring)."""
-    total = _product_order(g.n, m)
-    n_obj = m * g.m + (m - 1) * g.n
+    total, n_obj = _path_product_counts(g.n, g.m, m)
     _guard(g, total, n_obj, "edge metric dimension")
     return _Cover(_path_product_edge_levels(g, m), n_obj)
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -427,6 +428,84 @@ def test_complete_4096_is_refused_from_its_counts(monkeypatch, capsys):
     monkeypatch.setattr(cli, "standard_family", _unbuilt)
     assert main(["compute", "edim", "--construct", "complete", "4096"]) == 2
     assert capsys.readouterr() == ("", _over_cap(4096, 8386560, 144044810745937920))
+
+
+# verify of F_k and H_k over the pair-bit cap, each with the stderr it
+# printed when the family graph was built before the refusal
+_VERIFY_OVER_CAP = [
+    (("ncondition", "--g", "F:11"), _over_cap(2059, 2107447, 4572350007497679)),
+    (("edge_bound", "--g", "H:10"), _over_cap(1035, 529975, 145351762311375)),
+    (("vertex_bound", "--g", "H:11"), _over_cap(2060, 2060, 4368786200)),
+    (("vertex_bound", "--g", "F:11"), _over_cap(2059, 2059, 4362425949)),
+    (("corollary", "--g", "F:7"), _over_cap(135, 8597, 4988237310)),
+    (("degree_lemmas", "--g", "H:7"), _over_cap(136, 8732, 5184258256)),
+    (("join", "--g", "F:7"), _over_cap(136, 8732, 5184258256)),
+    (("product", "--g", "F:7", "--m", "2"), _over_cap(270, 17329, 40537383120)),
+    # m, then the product's vertex cap, before the pair-bit cap; k before m
+    (("product", "--g", "F:7", "--m", "1"), "error: need at least 2 path copies, got 1\n"),
+    (("product", "--g", "H:11", "--m", "2"), "error: product would have 4120 vertices, cap is 4096\n"),
+    (("product", "--g", "F:12", "--m", "1"), "error: k must be in 1..11, got 12\n"),
+    (("product", "--g", "F:7"), "error: verify product needs --m M, at least 2\n"),
+]
+
+
+@pytest.mark.parametrize("argv, err", _VERIFY_OVER_CAP, ids=[" ".join(c[0]) for c in _VERIFY_OVER_CAP])
+def test_verify_of_families_over_the_pair_bit_cap_is_refused_unbuilt(monkeypatch, capsys, argv, err):
+    from edimlab import cli
+
+    def unbuilt(k):
+        raise AssertionError(f"the family graph was built for k={k}")
+
+    monkeypatch.setattr(cli, "construct_F", unbuilt)
+    monkeypatch.setattr(cli, "construct_H", unbuilt)
+    assert main(["verify", *argv]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("theorem", sorted(CHECKS))
+def test_verify_asks_the_cap_of_the_instance_each_check_builds_first(monkeypatch, theorem):
+    from edimlab import cli, resolver
+    from edimlab.constructions import _family_counts, construct_F, construct_H
+    from edimlab.errors import NTooLargeError
+
+    assert set(cli._FIRST_INSTANCE) == set(CHECKS)
+    asked = []
+
+    def first_ask(landmarks, objects):
+        asked.append((landmarks, objects))
+        raise NTooLargeError("stop at the first instance")
+
+    monkeypatch.setattr(resolver, "_pair_cap", first_ask)
+    for name, build in (("F", construct_F), ("H", construct_H)):
+        for k in range(1, 5):
+            g = build(k).graph
+            # degree_lemmas builds its instance only on a graph with a universal vertex
+            assert max(a.bit_count() for a in g.adj_bits) == g.n - 1
+            asked.clear()
+            with pytest.raises(NTooLargeError):
+                CHECKS[theorem].run(g, 3)
+            assert asked == [cli._FIRST_INSTANCE[theorem](*_family_counts(name, k), 3)], (name, k)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "ncondition", "--g", "F:11"),
+    ("verify", "vertex_bound", "--g", "H:11"),
+    ("verify", "edge_bound", "--g", "H:10"),
+])
+def test_verify_of_families_over_the_pair_bit_cap_exits_fast_in_1_gib(argv):
+    # building F_11 took 1.3 s and about 300 MB before the refusal
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no RLIMIT_AS on this platform")
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "edimlab", *argv],
+        capture_output=True, text=True, env=cli_env(), preexec_fn=_limit_address_space_to_1_gib,
+    )
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "bits of pair bitsets" in proc.stderr
+    assert elapsed < 1.0, elapsed
 
 
 def test_families_within_the_pair_bit_cap_are_built_and_solved(capsys):

@@ -26,6 +26,7 @@ from edimlab import experiments
 from edimlab.experiments import (
     _automorphisms,
     _class_levels,
+    _degree_rule_sets,
     _graph_of_mask,
     _independence_number,
     _one_orbit,
@@ -182,28 +183,40 @@ def test_sweep_levels_at_n8_are_the_canonical_levels():
     assert sum(weight for _, weight in named) == A001187[8]
 
 
-def _canonical_mask_calls(monkeypatch) -> list:
-    """The arguments of each later call of experiments.canonical_mask."""
+def _calls(monkeypatch, name) -> list:
+    """The arguments of each later call of experiments.<name>."""
     seen = []
+    real = getattr(experiments, name)
 
     def spy(*args):
         seen.append(args)
-        return canonical_mask(*args)
+        return real(*args)
 
-    monkeypatch.setattr(experiments, "canonical_mask", spy)
+    monkeypatch.setattr(experiments, name, spy)
     return seen
 
 
+def _canonical_mask_calls(monkeypatch) -> list:
+    """The arguments of each later call of experiments.canonical_mask."""
+    return _calls(monkeypatch, "canonical_mask")
+
+
 # generation names only children whose tied vertices span two orbits, and
-# connected_classes renames the one level it returns
+# connected_classes renames the one level it returns; the degree rule
+# leaves _rival 244 and 2032 children (388 and 4159 without it), and the
+# twin rule leaves 37 and 200 pinned automorphism searches (107 and 527)
 @pytest.mark.parametrize("n, calls", [
-    (6, {"_class_levels": 0, "connected_classes": 112}),
-    (7, {"_class_levels": 40, "connected_classes": 893}),
+    (6, {"_class_levels": 0, "connected_classes": 112, "_rival": 244, "pinned": 37}),
+    (7, {"_class_levels": 40, "connected_classes": 893, "_rival": 2032, "pinned": 200}),
 ])
 def test_sweep_levels_call_canonical_mask_only_for_tied_children(monkeypatch, n, calls):
     seen = _canonical_mask_calls(monkeypatch)
+    rivals = _calls(monkeypatch, "_rival")
+    searches = _calls(monkeypatch, "_automorphisms")
     list(_class_levels(n))
     assert len(seen) == calls["_class_levels"]
+    assert len(rivals) == calls["_rival"]
+    assert sum(len(args) == 3 for args in searches) == calls["pinned"]
     seen.clear()
     connected_classes(n)
     assert len(seen) == calls["connected_classes"]
@@ -222,6 +235,72 @@ def _tied_children(n):
             tied = _rival(child, pieces)
             if tied:
                 yield child, tied
+
+
+def _children(n):
+    """(adj, pieces, nbrs, child) for every parent on n - 1 vertices and
+    every non-empty neighbourhood nbrs of the new vertex."""
+    new = 1 << (n - 1)
+    for parent, _ in list(_class_levels(n - 1))[-1][1]:
+        adj = _graph_of_mask(n - 1, parent).adj_bits
+        pieces = [_pieces_without(adj, u) for u in range(n - 1)]
+        for nbrs in range(1, new):
+            child = [a | new if nbrs >> v & 1 else a for v, a in enumerate(adj)]
+            child.append(nbrs)
+            yield adj, pieces, nbrs, child
+
+
+def _high(adj, pieces, k):
+    """The parent's non-cut vertices of degree at least k, as a mask."""
+    return sum(1 << u for u, a in enumerate(adj) if len(pieces[u]) < 2 and a.bit_count() >= k)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_degree_rule_drops_only_children_that_rival_rejects(n):
+    # every parent with up to 6 vertices, every non-empty neighbourhood S
+    dropped = 0
+    kept_of = {}
+    for adj, pieces, s, child in _children(n):
+        key = tuple(adj)
+        if key not in kept_of:
+            kept_of[key] = set(_degree_rule_sets(adj, pieces))
+        k = s.bit_count()
+        # the rule as stated: S holds a non-cut u with deg(u) >= k, or misses one with deg(u) >= k + 1
+        drop = k >= 2 and bool(s & _high(adj, pieces, k) or ~s & _high(adj, pieces, k + 1))
+        assert (s not in kept_of[key]) == drop, (adj, s)
+        if drop:
+            assert _rival(child, pieces) is None, (adj, s)
+            dropped += 1
+    assert dropped == {2: 0, 3: 0, 4: 3, 5: 31, 6: 308, 7: 4050}[n]
+
+
+def test_orbit_minima_over_the_degree_rule_sets_are_the_full_minima_kept():
+    # the kept sets are a union of orbits, so the minima and orbit sizes are unchanged
+    for n, classes in _class_levels(6):
+        for mask, _ in classes:
+            adj = _graph_of_mask(n, mask).adj_bits
+            sets = _degree_rule_sets(adj, [_pieces_without(adj, u) for u in range(n)])
+            kept = set(sets)
+            assert _orbit_minima(adj, sets) == [(s, size) for s, size in _orbit_minima(adj) if s in kept]
+
+
+def test_twin_rule_skips_only_images_of_w(monkeypatch):
+    # a tied twin of w is never searched for, and some listed automorphism maps w to it
+    searches = _calls(monkeypatch, "_automorphisms")
+    twins = 0
+    for n in range(2, 8):
+        w = n - 1
+        for child, tied in _tied_children(n):
+            skipped = [u for u in tied if not (child[u] ^ child[w]) & ~(1 << u | 1 << w)]
+            if not skipped:
+                continue
+            searches.clear()
+            _one_orbit(child, tied)
+            assert not {args[2] for args in searches} & set(skipped), (child, tied)
+            images = {p[w] for p in _automorphisms(child)}
+            assert images >= set(skipped), (child, tied)
+            twins += len(skipped)
+    assert twins == 458
 
 
 def _assert_pinned_search_finds_the_listed_images(adj):
