@@ -18,7 +18,6 @@ from . import __version__
 from .constructions import (
     LabeledConstruction,
     _family_counts,
-    _path_product_counts,
     _standard_counts,
     cartesian_path,
     construct_F,
@@ -69,28 +68,14 @@ def _read_graph_file(name: str, fmt: str = "auto") -> Graph:
     return parse_graph_text(text, fmt)
 
 
-# (landmarks, objects) of the first cover-search instance each check builds
-# on a graph of n vertices and e edges, for m path copies: the edge
-# instance, the vertex instance, the edge instance of g + K_1, or the
-# product's.  degree_lemmas builds one only when a vertex is universal.
-_FIRST_INSTANCE = {
-    "ncondition": lambda n, e, m: (n, e),
-    "corollary": lambda n, e, m: (n, e),
-    "vertex_bound": lambda n, e, m: (n, n),
-    "edge_bound": lambda n, e, m: (n, e),
-    "degree_lemmas": lambda n, e, m: (n, e),
-    "join": lambda n, e, m: (n + 1, e + n),
-    "product": _path_product_counts,
-}
-
-
 def _parse_spec(spec: str, instance=None) -> Graph:
     """Graph spec: a file path, or else an inline 'path:3', 'F:2', 'grid:3,4'.
 
     A spec naming an existing file is that file, even when it contains ':'.
-    Given `instance`, as `_build_from_tokens` reads it, an F:K or H:K spec
-    over the pair-bit cap is refused unbuilt: F_k and H_k each have a
-    universal vertex, so every check builds its first instance on them.
+    Given `instance`, as `_build_from_tokens` reads it (verify passes its
+    check's `first`), an F:K or H:K spec over the pair-bit cap is refused
+    unbuilt: F_k and H_k each have a universal vertex, so every check
+    builds its first instance on them.
     """
     if Path(spec).exists():
         return _read_graph_file(spec)
@@ -254,7 +239,8 @@ def _verify_single(reports, report_path) -> int:
 
 def cmd_verify(args) -> int:
     theorem = args.theorem
-    if theorem != "product":
+    check = CHECKS.get(theorem)  # None for fk and hk, which no sweep checks
+    if not (check and check.reads_m):
         _refuse_unread(args, f"verify {theorem}", ("m",))
     if args.sweep is None:
         _refuse_unread(args, f"verify {theorem} without --sweep", ("threads",))
@@ -266,16 +252,16 @@ def cmd_verify(args) -> int:
     if theorem in ("fk", "hk"):
         if args.kmax is None or not 1 <= args.kmax <= MAX_FAMILY_K:
             raise BadParamsError(f"{theorem} needs --kmax from 1 to {MAX_FAMILY_K}")
-        check = check_Fk_theorem if theorem == "fk" else check_Hk_theorem
-        return _verify_single([check(k) for k in range(1, args.kmax + 1)], args.report)
-    if theorem == "product" and args.m is None:
-        raise BadParamsError("verify product needs --m M, at least 2")
+        certify = check_Fk_theorem if theorem == "fk" else check_Hk_theorem
+        return _verify_single([certify(k) for k in range(1, args.kmax + 1)], args.report)
+    if check.reads_m and args.m is None:
+        raise BadParamsError(f"verify {theorem} needs --m M, at least 2")
     if args.graph or args.g:
         if args.g:
-            g = _parse_spec(args.g, lambda n, e: _FIRST_INSTANCE[theorem](n, e, args.m))
+            g = _parse_spec(args.g, lambda n, e: check.first(n, e, args.m))
         else:
             g = _read_graph_file(args.graph)
-        return _verify_single([CHECKS[theorem].run(g, args.m)], args.report)
+        return _verify_single([check.run(g, args.m)], args.report)
     if args.sweep is None:
         raise BadParamsError("provide --graph, --g, or --sweep")
     summary = sweep_theorem(theorem, args.sweep, threads=args.threads or 1, m=args.m)

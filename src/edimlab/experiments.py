@@ -188,24 +188,25 @@ def _automorphisms(adj, first: int = 0, to: int | None = None):
         mapped |= 1 << v
     if to is not None:
         steps[0] = (first, [to] if deg[to] == deg[first] else [], 0)
-    image = [0] * n
+    return _extend(adj, steps, [0] * n, 0, 0)
 
-    def extend(i: int, used: int):
-        if i == n:
-            yield tuple(image)
-            return
-        v, same, before = steps[i]
-        want = 0
-        while before:
-            low = before & -before
-            want |= 1 << image[low.bit_length() - 1]
-            before ^= low
-        for t in same:
-            if not used >> t & 1 and adj[t] & used == want:
-                image[v] = t
-                yield from extend(i + 1, used | 1 << t)
 
-    return extend(0, 0)
+def _extend(adj, steps, image, i: int, used: int):
+    """`_automorphisms`' backtracking from step i; `used` masks the images
+    so far.  Not a closure, so no call leaves a cycle for the collector."""
+    if i == len(steps):
+        yield tuple(image)
+        return
+    v, same, before = steps[i]
+    want = 0
+    while before:
+        low = before & -before
+        want |= 1 << image[low.bit_length() - 1]
+        before ^= low
+    for t in same:
+        if not used >> t & 1 and adj[t] & used == want:
+            image[v] = t
+            yield from _extend(adj, steps, image, i + 1, used | 1 << t)
 
 
 def _orbit_minima(adj, sets=None) -> list[tuple[int, int]]:

@@ -92,6 +92,13 @@ def check_vertices(n: int, vertices) -> None:
             raise VertexOutOfRangeError(f"vertex {v} outside 0..{n - 1}")
 
 
+def check_edge(dm: "DistanceMatrix", e: tuple[int, int]) -> None:
+    """Raise NotAnEdgeError unless e = (x, y) is an edge of dm's graph."""
+    x, y = e
+    if not (0 <= x < dm.n and 0 <= y < dm.n) or dm.d[x][y] != 1:
+        raise NotAnEdgeError(f"({x}, {y}) is not an edge")
+
+
 def bits_of(mask: int):
     """Yield the indices of the set bits of mask, ascending."""
     while mask:
@@ -235,10 +242,9 @@ def max_degree(g: Graph) -> int:
 
 def edge_vertex_distance(dm: DistanceMatrix, e: tuple[int, int], v: int) -> int:
     """Distance from edge e = {x, y} to vertex v: min(d(x, v), d(y, v))."""
-    x, y = e
-    if not (0 <= x < dm.n and 0 <= y < dm.n) or dm.d[x][y] != 1:
-        raise NotAnEdgeError(f"({x}, {y}) is not an edge")
+    check_edge(dm, e)
     check_vertices(dm.n, (v,))
+    x, y = e
     return min(dm.d[x][v], dm.d[y][v])
 
 

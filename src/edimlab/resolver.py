@@ -78,13 +78,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import DisconnectedError, NoEdgesError, NotAnEdgeError, NTooLargeError
+from .errors import DisconnectedError, NoEdgesError, NTooLargeError
 from .graph import (
     DistanceMatrix,
     Graph,
     _edge_levels,
     all_pairs_distances,
     bfs_levels,
+    check_edge,
     check_vertices,
     is_connected,
     level_rows,
@@ -121,10 +122,9 @@ def vertex_signature(dm: DistanceMatrix, x: int, landmarks) -> tuple[int, ...]:
 
 def edge_signature(dm: DistanceMatrix, e: tuple[int, int], landmarks) -> tuple[int, ...]:
     """Distances from edge e to the landmarks, in the given order."""
-    x, y = e
-    if not (0 <= x < dm.n and 0 <= y < dm.n) or dm.d[x][y] != 1:
-        raise NotAnEdgeError(f"({x}, {y}) is not an edge")
+    check_edge(dm, e)
     check_vertices(dm.n, landmarks)
+    x, y = e
     dx, dy = dm.d[x], dm.d[y]
     return tuple(min(dx[v], dy[v]) for v in landmarks)
 

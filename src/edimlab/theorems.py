@@ -15,9 +15,9 @@ fewer landmarks than the least value meeting it suffice.  The instance
 gives its `value()` only for a failure's certificate.
 
 CHECKS is the one registry of the statements that a sweep over all small
-connected graphs can check: it maps each id to its checker and to the
-smallest n the sweep feeds it.  The CLI takes its `verify` choices and its
-single-graph dispatch from it; F_k and H_k are checked per k instead, by
+connected graphs can check, each id with its `Checker`; a new statement is
+one entry.  The CLI takes from it its `verify` choices, dispatch, `--m`
+and unbuilt family refusals.  F_k and H_k are checked per k instead, by
 one certification of their values (no witness scan) for k to MAX_FAMILY_K.
 """
 
@@ -29,6 +29,7 @@ from math import comb
 
 from .constructions import (
     _check_path_copies,
+    _path_product_counts,
     _path_product_problem,
     construct_F,
     construct_H,
@@ -322,21 +323,25 @@ class SweepSummary:
 
 @dataclass(frozen=True)
 class Checker:
-    run: Callable[[Graph, int | None], TheoremReport]  # run(g, m); only product reads m
+    run: Callable[[Graph, int | None], TheoremReport]  # run(g, m); m is None unless reads_m
     min_n: int  # smallest n whose graphs a sweep feeds to it
+    # first(n, e, m): (landmarks, objects) of run's first cover-search instance on n vertices, e edges
+    first: Callable[[int, int, int | None], tuple[int, int]]
+    reads_m: bool = False  # whether run reads m, the count of path copies
 
 
 # The sweepable statements.  Each run looks its check_* function up by
 # global name when called, so a patched or wrapped theorems.check_* sees
-# every sweep call.
+# every sweep call.  degree_lemmas builds its first instance only when a
+# vertex is universal.
 CHECKS = {
-    "ncondition": Checker(lambda g, m: check_ncondition_theorem(g), 3),
-    "corollary": Checker(lambda g, m: check_corollary_diam_triangle(g), 3),
-    "vertex_bound": Checker(lambda g, m: check_vertex_count_bound(g), 2),
-    "edge_bound": Checker(lambda g, m: check_edge_count_bound(g), 2),
-    "degree_lemmas": Checker(lambda g, m: check_max_degree_lemmas(g), 3),
-    "join": Checker(lambda g, m: check_join_K1_theorem(g), 2),
-    "product": Checker(lambda g, m: check_product_theorem(g, m), 2),
+    "ncondition": Checker(lambda g, m: check_ncondition_theorem(g), 3, lambda n, e, m: (n, e)),
+    "corollary": Checker(lambda g, m: check_corollary_diam_triangle(g), 3, lambda n, e, m: (n, e)),
+    "vertex_bound": Checker(lambda g, m: check_vertex_count_bound(g), 2, lambda n, e, m: (n, n)),
+    "edge_bound": Checker(lambda g, m: check_edge_count_bound(g), 2, lambda n, e, m: (n, e)),
+    "degree_lemmas": Checker(lambda g, m: check_max_degree_lemmas(g), 3, lambda n, e, m: (n, e)),
+    "join": Checker(lambda g, m: check_join_K1_theorem(g), 2, lambda n, e, m: (n + 1, e + n)),
+    "product": Checker(lambda g, m: check_product_theorem(g, m), 2, _path_product_counts, reads_m=True),
 }
 
 
@@ -378,7 +383,7 @@ def sweep_theorem(theorem_id: str, n_max: int, threads: int = 1, m: int = 2) -> 
     """
     if theorem_id not in CHECKS:
         raise KeyError(f"unknown sweepable theorem {theorem_id!r}")
-    if theorem_id == "product":
+    if CHECKS[theorem_id].reads_m:
         _check_path_copies(m)
     total: Counter = Counter()
     per_n = []

@@ -464,11 +464,10 @@ def test_verify_of_families_over_the_pair_bit_cap_is_refused_unbuilt(monkeypatch
 
 @pytest.mark.parametrize("theorem", sorted(CHECKS))
 def test_verify_asks_the_cap_of_the_instance_each_check_builds_first(monkeypatch, theorem):
-    from edimlab import cli, resolver
+    from edimlab import resolver
     from edimlab.constructions import _family_counts, construct_F, construct_H
     from edimlab.errors import NTooLargeError
 
-    assert set(cli._FIRST_INSTANCE) == set(CHECKS)
     asked = []
 
     def first_ask(landmarks, objects):
@@ -484,7 +483,42 @@ def test_verify_asks_the_cap_of_the_instance_each_check_builds_first(monkeypatch
             asked.clear()
             with pytest.raises(NTooLargeError):
                 CHECKS[theorem].run(g, 3)
-            assert asked == [cli._FIRST_INSTANCE[theorem](*_family_counts(name, k), 3)], (name, k)
+            assert asked == [CHECKS[theorem].first(*_family_counts(name, k), 3)], (name, k)
+
+
+def test_a_statement_that_reads_m_is_one_registry_entry(monkeypatch, capsys):
+    # an eighth statement: the CLI takes its choice, its first instance and
+    # its --m from the entry alone
+    from edimlab import cli, theorems
+    from edimlab.constructions import _path_product_counts
+
+    ran = []
+
+    def run(g, m):
+        ran.append((g.n, m))
+        return theorems.TheoremReport("product_gen", "g", theorems.HOLDS)
+
+    def unbuilt(k):
+        raise AssertionError(f"the family graph was built for k={k}")
+
+    monkeypatch.setitem(
+        theorems.CHECKS, "product_gen", theorems.Checker(run, 2, _path_product_counts, reads_m=True)
+    )
+    monkeypatch.setattr(cli, "construct_F", unbuilt)
+    verify = next(a for a in cli.build_parser()._actions if a.dest == "command").choices["verify"]
+    assert "product_gen" in next(a for a in verify._actions if a.dest == "theorem").choices
+
+    assert main(["verify", "product_gen", "--g", "F:7", "--m", "2"]) == 2
+    assert capsys.readouterr() == ("", _over_cap(270, 17329, 40537383120))
+    assert main(["verify", "product_gen", "--g", "path:3"]) == 2
+    assert capsys.readouterr() == ("", "error: verify product_gen needs --m M, at least 2\n")
+    assert not ran
+    assert main(["verify", "product_gen", "--sweep", "3", "--m", "2"]) == 0
+    # one class on 2 vertices and two on 3, each run with m = 2
+    assert sorted(ran) == [(2, 2), (3, 2), (3, 2)]
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "summary: 5 graphs, 5 holds, 0 fails, 0 not_applicable (all hold)"
+    )
 
 
 @pytest.mark.parametrize("argv", [

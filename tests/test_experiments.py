@@ -1,3 +1,4 @@
+import gc
 import hashlib
 from fractions import Fraction
 from itertools import permutations
@@ -332,6 +333,22 @@ def test_pinned_search_on_the_tied_children_at_n7():
         assert _one_orbit(child, tied) == one_orbit
         split += not one_orbit
     assert split == 40
+
+
+def test_automorphism_searches_leave_no_garbage_for_the_collector():
+    # a search that referenced itself left 17 objects per call for gc.collect()
+    children = list(_tied_children(6))
+    gc.collect()
+    gc.disable()
+    try:
+        for child, tied in children:
+            list(_automorphisms(child))
+            next(_automorphisms(child, len(child) - 1, tied[0]), None)
+            _one_orbit(child, tied)
+            _orbit_minima(child)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_automorphisms_are_the_permutations_fixing_the_graph():
