@@ -38,12 +38,17 @@ vertex ties a non-cut vertex in rank.  Their objects are the classes on
 N vertices, the children (so the canonical_mask, _rival and _one_orbit
 lines give their call counts) and the parents.  It then times
 connected_classes(N)'s naming step: canonical_mask over every class on
-N vertices, whose object count is that step's call count.  Last it
-times the survey's naming step on the classes on N vertices, solved
-beforehand: experiments._independence_number over every class, then
-canonical_mask over each (dim, edim) row's classes of largest
-independence number, the only ones survey_triples names; the objects are
-the classes and the canonical_mask calls.
+N vertices, whose object count is that step's call count.  Then it
+times the class passes of the census commands over the classes on N
+vertices, one call each on all of them as one block:
+theorems._sweep_block for ncondition and for vertex_bound (the passes of
+verify ncondition|vertex_bound --sweep N) and experiments._survey_block
+(the pass of survey N); the objects are the classes.  Last it times the
+survey's naming step on the classes on N vertices, solved beforehand:
+experiments._independence_number over every class, then canonical_mask
+over each (dim, edim) row's classes of largest independence number, the
+only ones survey_triples names; the objects are the classes and the
+canonical_mask calls.
 Prints one tab-separated line per input, problem and kernel: input,
 problem, objects, kernel, best seconds.  Each K must be 1 to
 theorems.MAX_FAMILY_K (6), the F_K whose edim fits the solvers' pair-bit
@@ -61,7 +66,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import gen  # noqa: E402
-from edimlab import experiments, resolver  # noqa: E402
+from edimlab import experiments, resolver, theorems  # noqa: E402
 from edimlab.constructions import (  # noqa: E402
     _path_product_edge_levels,
     cartesian_path,
@@ -178,7 +183,8 @@ def census_calls(n: int) -> dict[str, list[tuple]]:
 
 def census(repeat: int, n: int) -> None:
     """Time class generation up to n vertices and its kernels, then
-    connected_classes(n)'s naming of the classes on n vertices."""
+    connected_classes(n)'s naming of the classes on n vertices and the
+    census commands' class passes over them."""
     name = f"census{n}"
     secs, levels = best_of(repeat, lambda: list(experiments._class_levels(n)))
     print(f"{name}\tgeneration\t{len(levels[-1][1])}\t_class_levels\t{secs:.6g}", flush=True)
@@ -186,9 +192,18 @@ def census(repeat: int, n: int) -> None:
         fn = getattr(experiments, kernel)
         secs, _ = best_of(repeat, lambda: [fn(*a) for a in args])
         print(f"{name}\tgeneration\t{len(args)}\t{kernel}\t{secs:.6g}", flush=True)
-    adj = [experiments._graph_of_mask(n, mask).adj_bits for mask, _ in levels[-1][1]]
+    classes = levels[-1][1]
+    adj = [experiments._graph_of_mask(n, mask).adj_bits for mask, _ in classes]
     secs, _ = best_of(repeat, lambda: [experiments.canonical_mask(n, a) for a in adj])
     print(f"{name}\tconnected_classes naming\t{len(adj)}\tcanonical_mask\t{secs:.6g}", flush=True)
+    passes = {
+        "_sweep_block(ncondition)": (theorems._sweep_block, (n, classes, "ncondition", None)),
+        "_sweep_block(vertex_bound)": (theorems._sweep_block, (n, classes, "vertex_bound", None)),
+        "_survey_block": (experiments._survey_block, (n, classes)),
+    }
+    for kernel, (fn, job) in passes.items():
+        secs, _ = best_of(repeat, fn, job)
+        print(f"{name}\tclass pass\t{len(classes)}\t{kernel}\t{secs:.6g}", flush=True)
 
 
 def survey_naming(repeat: int, n: int) -> None:

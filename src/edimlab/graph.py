@@ -13,12 +13,11 @@ off those level masks.  `all_pairs_distances` returns them as a
 `DistanceMatrix`, which spreads them into distance rows only when its
 rows are read.  A Graph computes its connectivity, its DistanceMatrix and
 its edge levels (read off the same masks by `_edge_levels`) on first use
-and keeps them, outside `==` and `hash`, for as long as it lives: every
-solve and check on it reads the same ones.
+and keeps them in its instance dict (`_kept`), outside `==` and `hash`,
+for as long as it lives: every solve and check on it reads the same ones.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import (
     BadParamsError,
@@ -31,6 +30,25 @@ from .errors import (
 )
 
 MAX_VERTICES = 4096
+
+
+class _kept:
+    """A value computed from the instance on first read and stored in its
+    dict, where later reads find it first: `functools.cached_property`
+    without the lock that Python 3.11 takes on every first read."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True, repr=False)
@@ -52,19 +70,19 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj_bits[u] >> v & 1)
 
-    @cached_property
+    @_kept
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(bits_of(a)) for a in self.adj_bits)
 
-    @cached_property
+    @_kept
     def connected(self) -> bool:
         return _levels_from(self.adj_bits, 0)[1] == (1 << self.n) - 1
 
-    @cached_property
+    @_kept
     def distances(self) -> "DistanceMatrix":
         return DistanceMatrix(self.n, tuple(map(tuple, bfs_levels(self))))
 
-    @cached_property
+    @_kept
     def edge_levels(self) -> tuple[tuple[int, ...], ...]:
         """edge_levels[v][d]: mask of the edge indices at distance d from v."""
         return _edge_levels(self, self.distances.levels)
@@ -79,7 +97,7 @@ class DistanceMatrix:
     n: int
     levels: tuple[tuple[int, ...], ...]
 
-    @cached_property
+    @_kept
     def d(self) -> tuple[tuple[int, ...], ...]:
         return tuple(level_rows(self.levels, self.n))
 

@@ -4,7 +4,9 @@ Every check returns a TheoremReport with verdict "holds", "fails", or
 "not_applicable".  A fails verdict always carries a certificate with the
 concrete numbers needed to re-check the violation independently;
 not_applicable records which precondition excluded the instance.  Passing
-instances keep the certificate empty.
+instances keep the certificate empty.  A report names its graph by its
+graph6, rendered only when the report is read, so a sweep renders one
+per printed failure and none for the classes that pass.
 
 A sweepable statement needs dim or edim only against a threshold, so its
 check decides that threshold with the refutations of the graph's
@@ -24,7 +26,8 @@ one certification of their values (no witness scan) for k to MAX_FAMILY_K.
 import json
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from copy import deepcopy
+from dataclasses import dataclass
 from math import comb
 
 from .constructions import (
@@ -48,26 +51,64 @@ NOT_APPLICABLE = "not_applicable"
 
 MAX_FAMILY_K = 6  # the last k whose F_k and H_k edim instances fit resolver.MAX_PAIR_BITS
 
-@dataclass(frozen=True)
 class TheoremReport:
-    theorem_id: str
-    graph: str
-    verdict: str
-    certificate: dict = field(default_factory=dict)
+    """One check's verdict on one graph, with its certificate.
+
+    `graph` names the graph: its graph6, or a family name such as F_4,
+    followed by " m=M" when m (the product's path-copy count) is given.
+    A check hands over the Graph itself, and its graph6 is rendered when
+    `graph` is first read: by `to_record`, `to_dict`, equality, a sweep's
+    failure sort, or pickling to another process.  So a sweep renders
+    none for the classes that pass.
+    """
+
+    __slots__ = ("theorem_id", "verdict", "certificate", "_graph", "_m")
+
+    def __init__(self, theorem_id: str, graph: Graph | str, verdict: str,
+                 certificate: dict | None = None, m: int | None = None):
+        self.theorem_id = theorem_id
+        self.verdict = verdict
+        self.certificate = {} if certificate is None else certificate
+        self._graph = graph
+        self._m = m
+
+    @property
+    def graph(self) -> str:
+        if self._m is not None or type(self._graph) is not str:
+            name = self._graph if type(self._graph) is str else write_graph6(self._graph)
+            self._graph = name if self._m is None else f"{name} m={self._m}"
+            self._m = None
+        return self._graph
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not TheoremReport:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "TheoremReport({!r}, {!r}, {!r}, {!r})".format(*self._fields())
+
+    def __reduce__(self):
+        return TheoremReport, self._fields()
+
+    def _fields(self) -> tuple[str, str, str, dict]:
+        return self.theorem_id, self.graph, self.verdict, self.certificate
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"theorem_id": self.theorem_id, "graph": self.graph, "verdict": self.verdict,
+                "certificate": deepcopy(self.certificate)}
 
     def to_record(self) -> str:
         cert = json.dumps(self.certificate, sort_keys=True) if self.certificate else "{}"
         return f"{self.theorem_id}\t{self.graph}\t{self.verdict}\t{cert}"
 
 
-def _graph_id(g: Graph) -> str:
-    """g's graph6, by which a check reports it; a disconnected g is refused."""
+def _graph_id(g: Graph) -> Graph:
+    """g itself, by which a check names it in its report (the report renders
+    g's graph6 when read); a disconnected g is refused."""
     if not is_connected(g):
         raise DisconnectedError("theorem checks require a connected graph")
-    return write_graph6(g)
+    return g
 
 
 def full_edim_condition(g: Graph) -> tuple[bool, tuple[int, int] | None]:
@@ -102,7 +143,7 @@ def _least(bound: Callable[[int], int], target: int) -> int:
     return k
 
 
-def _na(theorem_id: str, gid: str, reason: str, **extra) -> TheoremReport:
+def _na(theorem_id: str, gid: Graph, reason: str, **extra) -> TheoremReport:
     cert = {"reason": reason}
     cert.update(extra)
     return TheoremReport(theorem_id, gid, NOT_APPLICABLE, cert)
@@ -288,21 +329,23 @@ def check_product_theorem(g: Graph, m: int) -> TheoremReport:
     pair-bit cap is refused before the joint cover is solved.
     """
     _check_path_copies(m)
-    gid = f"{_graph_id(g)} m={m}"
+    gid = _graph_id(g)
     if g.m < 1:
-        return _na("product", gid, "needs at least one edge", edges=g.m)
+        cert = {"reason": "needs at least one edge", "edges": g.m}
+        return TheoremReport("product", gid, NOT_APPLICABLE, cert, m)
     # the product's guard refuses all that the joint cover's would, so no solve is wasted
     product = _path_product_problem(g, m)
     k, cover = min_joint_cover(g)
     witness = witness_from_joint_cover(g, m, cover)
     witness_ok = product.generates(witness)
     if witness_ok and (k == max(map(len, cover)) or not product.fits(k - 1)):
-        return TheoremReport("product", gid, HOLDS)
+        return TheoremReport("product", gid, HOLDS, m=m)
     edim = product.value()
     return TheoremReport(
         "product", gid, FAILS,
         {"joint_k": k, "edim_of_product": edim, "m": m,
          "witness": sorted(witness), "witness_generates": witness_ok},
+        m,
     )
 
 

@@ -771,6 +771,26 @@ def test_verify_exit_code_4_on_failure(monkeypatch, capsys):
     assert "fails" in capsys.readouterr().out
 
 
+def test_a_failing_sweep_renders_one_graph6_per_printed_failure(monkeypatch, capsys, tmp_path):
+    from edimlab import theorems
+    from edimlab.theorems import TheoremReport
+
+    def unicyclic_fails(g):
+        return TheoremReport("vertex_bound", g, "fails" if g.m == g.n else "holds", {"m": g.m})
+
+    rendered = []
+    real = theorems.write_graph6
+    monkeypatch.setattr(theorems, "check_vertex_count_bound", unicyclic_fails)
+    monkeypatch.setattr(theorems, "write_graph6", lambda g: rendered.append(g) or real(g))
+    report = tmp_path / "report.json"
+    code = main(["verify", "vertex_bound", "--sweep", "5", "--report", str(report)])
+    printed = [line for line in capsys.readouterr().out.splitlines() if "\tfails\t" in line]
+    assert code == 4
+    # the labeled unicyclic graphs on 3, 4 and 5 vertices (OEIS A057500), each rendered once
+    assert len(printed) == len(json.loads(report.read_text())["failures"]) == len(rendered) == 1 + 15 + 222
+    assert printed == sorted(printed)
+
+
 def test_survey_stdout():
     proc = run_cli("survey", "3")
     assert proc.returncode == 0

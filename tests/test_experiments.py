@@ -275,6 +275,46 @@ def test_degree_rule_drops_only_children_that_rival_rejects(n):
     assert dropped == {2: 0, 3: 0, 4: 3, 5: 31, 6: 308, 7: 4050}[n]
 
 
+def _rank_tuples_rival(child, pieces):
+    """`_rival` from whole rank tuples: (degree, neighbours' degrees sorted,
+    edges among the neighbours counted twice) for w and every vertex u."""
+    n = len(child)
+    w = n - 1
+    deg = [a.bit_count() for a in child]
+
+    def rank(v):
+        nbrs = [x for x in range(n) if child[v] >> x & 1]
+        return deg[v], sorted(deg[x] for x in nbrs), sum((child[x] & child[v]).bit_count() for x in nbrs)
+
+    top = rank(w)
+    non_cut = [u for u in range(w) if all(child[w] & piece for piece in pieces[u])]
+    # children where a non-cut u ties w on degrees and neighbours' degrees but not on the edge count
+    last_field = any(rank(u)[:2] == top[:2] and rank(u) != top for u in non_cut)
+    if any(rank(u) > top for u in non_cut):
+        return None, last_field
+    return [u for u in non_cut if rank(u) == top], last_field
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_rival_compares_ranks_as_whole_tuples_do(n):
+    # every parent with up to 6 vertices, every non-empty neighbourhood S
+    outcomes = {"outranked": 0, "tied": 0, "top": 0, "last field": 0}
+    for _, pieces, _, child in _children(n):
+        got = _rival(child, pieces)
+        want, last_field = _rank_tuples_rival(child, pieces)
+        assert got == want, child
+        outcomes["outranked" if got is None else "tied" if got else "top"] += 1
+        outcomes["last field"] += last_field
+    assert outcomes == {
+        2: {"outranked": 0, "tied": 1, "top": 0, "last field": 0},
+        3: {"outranked": 0, "tied": 3, "top": 0, "last field": 0},
+        4: {"outranked": 6, "tied": 8, "top": 0, "last field": 0},
+        5: {"outranked": 56, "tied": 28, "top": 6, "last field": 0},
+        6: {"outranked": 478, "tied": 106, "top": 67, "last field": 28},
+        7: {"outranked": 5623, "tied": 605, "top": 828, "last field": 480},
+    }[n]
+
+
 def test_orbit_minima_over_the_degree_rule_sets_are_the_full_minima_kept():
     # the kept sets are a union of orbits, so the minima and orbit sizes are unchanged
     for n, classes in _class_levels(6):

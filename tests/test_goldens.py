@@ -3,8 +3,9 @@
 The digests pin the bytes of every sweepable statement's n <= 5 sweep, the
 product sweeps with m = 3 at n <= 6 and with m = 4 at n <= 5, the n = 5, 6
 and 7 surveys (with the n = 7 CSV and its manifest), the F_k and H_k
-certifications and the ratio extremes, so a refactor that changes any of
-them fails here.  Each command runs in process through `cli.main`.
+certifications, single-graph reports and the ratio extremes, so a
+refactor that changes any of them fails here.  Each command runs in
+process through `cli.main`.
 """
 
 import argparse
@@ -89,6 +90,48 @@ SURVEY7_OUT = (
     "4df3b7cd864f46905e22fe5eb9aa823faa6f30a6ae4563b051abd979047d384d",
 )
 
+# theorem id -> (stdout, --report JSON) of `verify <id> --g SPEC` over
+# SINGLE_SPECS in turn, each joined; product with --m 3
+SINGLE_SPECS = ("path:1", "path:2", "star:5", "cycle:6", "complete:5")
+SINGLE = {
+    "corollary": (
+        "87f5eaa73f091a669403b8ee4b3937895b9efa9f1301a08c1b9018376838788e",
+        "fe985384ed987a063c0ad0c781d83375d314f885b1995c985ab70d02f28e3bbe",
+    ),
+    "degree_lemmas": (
+        "ec1b7db2260be2612b3bd08edfade36512f7c1b61b4854f09e509700ac3cfcb3",
+        "b970b815a34b97165b3095a64fb65a410c2e7e50ad1ef6337bdbf22145331191",
+    ),
+    "edge_bound": (
+        "5ab8ac039ee0d36e08767aad96dc3da37dfc867a161e10a06baa57fcba79e350",
+        "5483cf845b7e5fde3c02c78029d3726e928c5e53308b2d3d7f5102774e2ef2f8",
+    ),
+    "join": (
+        "7885e6523917bd52409782d2cfb53fe5a1aa9437b0d899cf4f729959dd65a8fa",
+        "990606b9af68a3a88f0a5261cadc2532b78228b6b013b304dec7c27ed3553ea8",
+    ),
+    "ncondition": (
+        "3bc7376f8e42035ad5ece6ecec5933e2732dd2a4ad9de6f73bcd1f006d4e3e2d",
+        "309372fcf9a78d0a32f6eb691f7e12c99020a33a7d331a426f2845de9e14c5e4",
+    ),
+    "product": (
+        "bea0257c7a1ef5f77b23fb237853636d7846d42e183f1038b62f44e3fc0d2110",
+        "f486ee5f95852e01eadbb99c8df3994604d062284420665e27eabebe3a541171",
+    ),
+    "vertex_bound": (
+        "6d8801dab8a8b3902ed7cdc1ea8c76c685cead4e6a889de598f1fd32445b8b31",
+        "1efb3a742386473afb76eb93903d74eadee8490af13aaaca42bc50c554c925e6",
+    ),
+}
+
+# stdout and --report JSON of `verify product --graph F@U}w --m 2`, a failing class at n = 7
+FAILING_PRODUCT = (
+    'product\tF@U}w m=2\tfails\t{"edim_of_product": 4, "joint_k": 5, "m": 2, '
+    '"witness": [0, 1, 2, 3, 4, 7], "witness_generates": true}\n'
+    "summary: 1 checked, 0 holds, 1 fails, 0 not_applicable\n",
+    "ebe708ba8dfda87f163b1ef798c400b06d76199a3374b0a610ec08d598a9e93d",
+)
+
 # "\n".join(repr(ratio_extremes(n)) for n = 2..5)
 RATIO2TO5 = "b423bbb3985c8cac53615176bcbfc902a8503d937ba33b10c0f51659cac03636"
 
@@ -146,6 +189,26 @@ def test_survey_output_file_and_manifest_are_pinned(tmp_path):
     assert (code, out) == (0, f"wrote {csv} (15 rows)\n")
     manifest = csv.with_name(csv.name + ".manifest.json")
     assert (_sha(csv.read_text()), _sha(manifest.read_text())) == SURVEY7_OUT
+
+
+@pytest.mark.parametrize("theorem", sorted(SINGLE))
+def test_single_graph_reports_are_pinned(theorem, tmp_path):
+    extra = ["--m", "3"] if theorem == "product" else []
+    report = tmp_path / "report.json"
+    outs, reports = [], []
+    for spec in SINGLE_SPECS:
+        code, out = _run(["verify", theorem, "--g", spec, *extra, "--report", str(report)])
+        assert code == 0, spec
+        outs.append(out)
+        reports.append(report.read_text())
+    assert (_sha("".join(outs)), _sha("".join(reports))) == SINGLE[theorem]
+
+
+def test_a_failing_single_graph_report_is_pinned(tmp_path):
+    graph, report = tmp_path / "f.g6", tmp_path / "report.json"
+    graph.write_text("F@U}w\n")
+    code, out = _run(["verify", "product", "--graph", str(graph), "--m", "2", "--report", str(report)])
+    assert (code, out, _sha(report.read_text())) == (4, *FAILING_PRODUCT)
 
 
 def test_ratio_extremes_are_pinned():

@@ -723,3 +723,40 @@ def test_failing_classes_are_expanded_to_every_labeled_graph(monkeypatch, thread
     assert (summary.graphs, summary.holds, summary.not_applicable) == (
         sum(row[1] for row in per_n), sum(row[2] for row in per_n), sum(row[4] for row in per_n),
     )
+
+
+def _rendered(monkeypatch) -> list:
+    """The graphs whose graph6 a report renders from now on."""
+    seen = []
+    real = theorems.write_graph6
+
+    def spy(g):
+        seen.append(g)
+        return real(g)
+
+    monkeypatch.setattr(theorems, "write_graph6", spy)
+    return seen
+
+
+@pytest.mark.parametrize("theorem_id", ["ncondition", "vertex_bound"])
+def test_a_passing_sweep_renders_no_graph6(monkeypatch, theorem_id):
+    rendered = _rendered(monkeypatch)
+    summary = sweep_theorem(theorem_id, 6)
+    # every labeled connected graph from the checker's min_n up to 6 vertices (OEIS A001187)
+    labeled = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
+    assert summary.ok and summary.graphs == sum(labeled[n] for n in range(theorems.CHECKS[theorem_id].min_n, 7))
+    assert rendered == []
+
+
+def test_a_report_renders_its_graph6_once_when_read(monkeypatch):
+    rendered = _rendered(monkeypatch)
+    g = cycle(5)
+    report = check_ncondition_theorem(g)
+    assert rendered == []
+    assert report.to_record() == f"ncondition\t{write_graph6(g)}\tholds\t{{}}"
+    assert report.to_dict()["graph"] == report.graph == "Dhc"
+    assert rendered == [g]
+    product = check_product_theorem(g, 3)
+    assert (product.graph, product.graph) == ("Dhc m=3", "Dhc m=3") and rendered == [g, g]
+    named = TheoremReport("product", "Dhc", HOLDS, m=3)
+    assert named == product and len(rendered) == 2
